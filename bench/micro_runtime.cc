@@ -6,6 +6,9 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <deque>
+#include <vector>
+
 #include "core/schedule.h"
 #include "ml/cost_sensitive.h"
 #include "ml/qlearning.h"
@@ -101,6 +104,63 @@ BM_EventQueueCancelChurn(benchmark::State& state)
         static_cast<std::int64_t>(queue.executed() - before));
 }
 BENCHMARK(BM_EventQueueCancelChurn);
+
+// The fleet77_x2 per-shard shape (perfbench measures ~235 pending and a
+// cancel ratio of 0.028 there): 2 streams at 50 us — the node substrate
+// ticks — over 230 agent streams at 10 ms x 2^k, k in 0..7 (10 ms to
+// 1.28 s), plus timeouts armed on ~2.9% of steps and cancelled 64
+// steps later, long before their deadline, so ~2.8% of all schedules
+// are cancelled. Items are fired events.
+void
+BM_EventQueueFleetMix(benchmark::State& state)
+{
+    struct Streams {
+        sol::sim::EventQueue queue;
+        std::vector<sol::sim::Duration> period;
+    };
+    struct Fire {
+        Streams* streams;
+        std::size_t index;
+        void
+        operator()() const
+        {
+            streams->queue.ScheduleAfter(streams->period[index],
+                                         Fire{streams, index});
+        }
+    };
+    constexpr std::size_t kFast = 2;
+    constexpr std::size_t kStreams = kFast + 230;
+    Streams streams;
+    sol::sim::Rng rng(1);
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        const sol::sim::Duration period =
+            i < kFast ? sol::sim::Micros(50)
+                      : sol::sim::Millis(10) * (1 << rng.NextBelow(8));
+        streams.period.push_back(period);
+        streams.queue.ScheduleAfter(
+            sol::sim::Duration(static_cast<std::int64_t>(rng.NextBelow(
+                static_cast<std::uint64_t>(period.count())))),
+            Fire{&streams, i});
+    }
+    std::deque<sol::sim::EventHandle> timeouts;
+    const std::uint64_t before = streams.queue.executed();
+    for (auto _ : state) {
+        // cancelled / scheduled = 0.028 needs 0.028 / (1 - 0.028) =
+        // 0.029 cancelled timeouts per fired event.
+        if (rng.NextBelow(1000) < 29) {
+            timeouts.push_back(
+                streams.queue.ScheduleAfter(sol::sim::Seconds(10), [] {}));
+            if (timeouts.size() > 64) {
+                timeouts.front().Cancel();
+                timeouts.pop_front();
+            }
+        }
+        benchmark::DoNotOptimize(streams.queue.Step());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(streams.queue.executed() - before));
+}
+BENCHMARK(BM_EventQueueFleetMix);
 
 void
 BM_QLearnerUpdate(benchmark::State& state)

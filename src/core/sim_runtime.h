@@ -23,7 +23,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "core/actuator.h"
@@ -32,6 +31,7 @@
 #include "core/runtime_options.h"
 #include "core/runtime_stats.h"
 #include "core/schedule.h"
+#include "sim/confined_shared.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
@@ -59,7 +59,7 @@ class SimRuntime
                RuntimeOptions options = {})
         : queue_(queue),
           engine_(model, actuator, schedule, options),
-          alive_(std::make_shared<bool>(false))
+          alive_(sim::ConfinedShared<bool>::Make(false))
     {
     }
 
@@ -103,7 +103,7 @@ class SimRuntime
         *alive_ = false;
         // Strand every pending continuation on the dead token so a
         // later Start() cannot resurrect the old event chains.
-        alive_ = std::make_shared<bool>(false);
+        alive_ = sim::ConfinedShared<bool>::Make(false);
     }
 
     bool running() const { return *alive_; }
@@ -173,9 +173,8 @@ class SimRuntime
     void
     ScheduleCollect()
     {
-        auto alive = alive_;
         queue_.ScheduleAfter(engine_.schedule().data_collect_interval,
-                             [this, alive] {
+                             [this, alive = alive_] {
                                  if (*alive) {
                                      OnCollectTick();
                                  }
@@ -188,8 +187,7 @@ class SimRuntime
         const sim::TimePoint now = queue_.Now();
         if (now < model_resume_time_) {
             // The model loop is stalled: defer to the end of the stall.
-            auto alive = alive_;
-            queue_.ScheduleAt(model_resume_time_, [this, alive] {
+            queue_.ScheduleAt(model_resume_time_, [this, alive = alive_] {
                 if (*alive) {
                     OnCollectTick();
                 }
@@ -206,8 +204,7 @@ class SimRuntime
             now, outcome == CollectOutcome::kEpochComplete));
         // Wake the actuator for the new prediction (or, while halted,
         // for nothing — the wake is a harmless no-op then).
-        auto alive = alive_;
-        queue_.ScheduleAfter(sim::Duration::zero(), [this, alive] {
+        queue_.ScheduleAfter(sim::Duration::zero(), [this, alive = alive_] {
             if (*alive) {
                 OnActuatorWake(/*from_timeout=*/false);
             }
@@ -222,10 +219,9 @@ class SimRuntime
     ArmActuatorTimeout()
     {
         timeout_handle_.Cancel();
-        auto alive = alive_;
         timeout_handle_ = queue_.ScheduleAt(
             last_action_time_ + engine_.schedule().max_actuation_delay,
-            [this, alive] {
+            [this, alive = alive_] {
                 if (*alive) {
                     OnActuatorWake(/*from_timeout=*/true);
                 }
@@ -252,9 +248,8 @@ class SimRuntime
     void
     ScheduleActuatorAssessment()
     {
-        auto alive = alive_;
         queue_.ScheduleAfter(engine_.schedule().assess_actuator_interval,
-                             [this, alive] {
+                             [this, alive = alive_] {
                                  if (*alive) {
                                      OnActuatorAssessment();
                                  }
@@ -278,7 +273,15 @@ class SimRuntime
     sim::EventQueue& queue_;
     Engine engine_;
 
-    std::shared_ptr<bool> alive_;
+    /**
+     * Liveness token every pending continuation carries (16-byte
+     * closures: `this` plus the token). Stop() strands the old token
+     * false, so continuations still fire — they count in the queue's
+     * trace_hash — but as no-ops that never touch the runtime, even
+     * after it is destroyed. A ConfinedShared count: continuations stay
+     * on the queue's thread, so no copy needs an atomic.
+     */
+    sim::ConfinedShared<bool> alive_;
     sim::TimePoint model_resume_time_{0};
     sim::TimePoint last_action_time_{0};
     sim::EventHandle timeout_handle_;

@@ -1,43 +1,54 @@
 /**
  * @file
- * Arena-backed event storage for the discrete-event simulation core.
+ * Event storage and ordering for the discrete-event simulation core:
+ * arena-allocated event slots ordered by a monotone radix queue.
  *
- * The seed EventQueue paid three per-event heap allocations on its hot
- * path: a std::shared_ptr<bool> cancellation flag, the std::function
- * closure, and std::priority_queue vector churn — and cancelled events
- * stayed buried in the binary heap until their deadline, where they were
- * popped and skipped one by one. At fleet scale (77 agents per node,
- * million-event runs) that allocation traffic and cancelled-event drag
- * dominate the simulation loop.
- *
- * This header provides the replacement storage layer:
- *
- *  - InlineEvent: a move-only callable with a 24-byte inline buffer.
- *    Every closure the runtimes schedule (a captured `this` plus a
- *    shared liveness token) fits inline, so the steady path performs no
- *    closure allocation; larger callables transparently spill to the
- *    heap for correctness.
- *  - EventKey / EventArena: structure-of-arrays event storage addressed
- *    by dense 32-bit indices and recycled through a free list. The
- *    32-byte key records — (time, sequence) plus the intrusive
- *    pairing-heap links — live in their own densely packed array, two
- *    per cache line, so the heap's compare-and-relink traffic runs at
- *    twice the cache density of an array-of-structs layout; the
- *    closure payloads sit in a parallel array and are only touched on
- *    push and fire. Generation counters give O(1) handle invalidation:
- *    freeing a slot bumps its generation, so stale handles can never
+ *  - InlineEvent: a type-erased callable built in place in its slot,
+ *    with a 24-byte inline buffer. Every closure the runtimes schedule
+ *    fits inline, so the steady path performs no closure allocation;
+ *    larger callables transparently spill to the heap for correctness.
+ *  - EventKey / EventArena: event slots in fixed-size blocks addressed
+ *    by dense 32-bit ids and recycled through a free list. The 32-byte
+ *    key records — (time, sequence) plus the slot's place in the
+ *    queue — live in their own array, two per cache line; the closure
+ *    payloads sit in a parallel array and are only touched on schedule
+ *    and fire. Generation counters give O(1) handle invalidation:
+ *    freeing a slot bumps its generation, so a stale handle can never
  *    touch a recycled event.
  *
- * Cancellation is eager: removing an arbitrary node from the pairing
- * heap is O(log n) amortized, so a cancelled timeout leaves the queue
- * immediately instead of rotting until its deadline. Heap shape depends
- * only on the sequence of operations — never on addresses or wall time —
- * so a fixed seed reproduces a run exactly; and because (time, sequence)
- * is a strict total order, pop order is independent of heap shape
- * entirely.
+ * Ordering is a monotone radix queue (a radix heap). Schedules are
+ * clamped to Now(), so no pending event is earlier than `last_`, the
+ * time of the last popped event. Each event is filed in the bucket
+ * named by the highest bit in which its time differs from last_:
+ * bucket b >= 1 holds times that agree with last_ above bit b-1 and
+ * have bit b-1 set, and bucket 0 holds the events at last_ itself —
+ * the current instant — in sequence order. Every time in bucket b is
+ * below every time in the buckets above it, so the earliest event is in
+ * the lowest non-empty bucket, which one count-trailing-zeros on an
+ * occupancy mask finds. Pop takes bucket 0's head. When bucket 0 is
+ * empty, the lowest non-empty bucket is redistributed: its minimum
+ * time becomes last_, and each of its events moves to a strictly lower
+ * bucket, so an event moves at most 63 times in its life. Schedule
+ * appends to a bucket and cancel swap-removes from one, both O(1);
+ * bucket 0 tombstones a cancelled entry instead, to keep its sequence
+ * order.
+ *
+ * Buckets are vectors of 32-bit slot ids and the keys stay in the slot
+ * records, so a redistribution's key loads are independent of each
+ * other, where a pointer-linked heap chases a chain of dependent loads
+ * on every pop. There is no bucket width or other constant to tune: the
+ * buckets are the bits of the time. Times are non-negative int64
+ * nanoseconds, so two of them never differ in bit 63 and 64 buckets
+ * (0..63) cover every case.
+ *
+ * Pop order is the strict (time, sequence) total order, independent of
+ * bucket layout, so a fixed seed reproduces a run exactly.
  */
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -51,43 +62,49 @@
 
 namespace sol::sim::detail {
 
-/** Sentinel index: "no node". */
+/** Sentinel slot id: "no event". */
 inline constexpr std::uint32_t kNilEvent = 0xffffffffu;
 
 /**
- * Move-only type-erased callable with inline small-buffer storage.
+ * Type-erased callable built in place in an arena slot, with inline
+ * small-buffer storage.
  *
- * Closures up to kInlineBytes that are nothrow-move-constructible live
- * directly in the buffer (no allocation); anything larger is boxed on
- * the heap. Invocation, relocation, and destruction dispatch through a
- * static ops table, so an empty InlineEvent is two words of state.
+ * Emplace() constructs a closure of up to kInlineBytes directly in the
+ * buffer (no allocation) and boxes anything larger on the heap. A
+ * stored closure never moves — it is built in its slot and fired there
+ * — so there is no relocation path. Invocation and destruction dispatch
+ * through a static ops table; an empty InlineEvent is two words of
+ * state.
  */
 class alignas(32) InlineEvent
 {
   public:
     /**
-     * Inline capacity. Sized so the runtimes' hottest closures — a
-     * captured `this` plus a `shared_ptr` liveness token (24 bytes) —
-     * fit inline while the whole payload record stays 32 bytes (two
-     * per cache line in the arena's payload array). Larger callables
-     * transparently box on the heap; every steady-path closure in
-     * src/ fits.
+     * Inline capacity: what a 32-byte payload record (two per cache
+     * line in the arena's payload array) leaves beside the ops
+     * pointer. The runtimes' closures — a captured `this` plus a
+     * ConfinedShared liveness token — take 16 bytes, so 8 are spare
+     * for callers' own closures. Larger callables transparently box on
+     * the heap; every steady-path closure in src/ fits.
      */
     static constexpr std::size_t kInlineBytes = 24;
 
     InlineEvent() = default;
+    InlineEvent(const InlineEvent&) = delete;
+    InlineEvent& operator=(const InlineEvent&) = delete;
+    ~InlineEvent() { Reset(); }
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineEvent>>>
-    InlineEvent(F&& fn)  // NOLINT(google-explicit-constructor)
+    /** Stores `fn` in this (empty) event. */
+    template <typename F>
+    void
+    Emplace(F&& fn)
     {
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_r_v<void, Fn&>,
                       "event callables take no arguments");
+        assert(ops_ == nullptr);
         if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
+                      alignof(Fn) <= alignof(std::max_align_t)) {
             ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
             ops_ = &kInlineOps<Fn>;
         } else {
@@ -95,30 +112,6 @@ class alignas(32) InlineEvent
                 Fn*(new Fn(std::forward<F>(fn)));
             ops_ = &kHeapOps<Fn>;
         }
-    }
-
-    InlineEvent(InlineEvent&& other) noexcept { MoveFrom(other); }
-
-    InlineEvent&
-    operator=(InlineEvent&& other) noexcept
-    {
-        if (this != &other) {
-            Reset();
-            MoveFrom(other);
-        }
-        return *this;
-    }
-
-    InlineEvent(const InlineEvent&) = delete;
-    InlineEvent& operator=(const InlineEvent&) = delete;
-
-    ~InlineEvent() { Reset(); }
-
-    void
-    operator()()
-    {
-        assert(ops_ != nullptr);
-        ops_->invoke(storage_);
     }
 
     /**
@@ -135,8 +128,6 @@ class alignas(32) InlineEvent
         ops->invoke_destroy(storage_);
     }
 
-    explicit operator bool() const { return ops_ != nullptr; }
-
     /** Destroys the held callable (no-op when empty). */
     void
     Reset()
@@ -149,18 +140,10 @@ class alignas(32) InlineEvent
 
   private:
     struct Ops {
-        void (*invoke)(void* storage);
         void (*invoke_destroy)(void* storage);  ///< Run, then destroy.
-        void (*relocate)(void* dst, void* src);  ///< Move then destroy src.
         void (*destroy)(void* storage);
     };
 
-    template <typename Fn>
-    static void
-    InlineInvoke(void* storage)
-    {
-        (*static_cast<Fn*>(storage))();
-    }
     template <typename Fn>
     static void
     InlineInvokeDestroy(void* storage)
@@ -175,34 +158,19 @@ class alignas(32) InlineEvent
     }
     template <typename Fn>
     static void
-    InlineRelocate(void* dst, void* src)
-    {
-        Fn* from = static_cast<Fn*>(src);
-        ::new (dst) Fn(std::move(*from));
-        from->~Fn();
-    }
-    template <typename Fn>
-    static void
     InlineDestroy(void* storage)
     {
         static_cast<Fn*>(storage)->~Fn();
     }
     template <typename Fn>
-    static constexpr Ops kInlineOps = {
-        &InlineInvoke<Fn>, &InlineInvokeDestroy<Fn>,
-        &InlineRelocate<Fn>, &InlineDestroy<Fn>};
+    static constexpr Ops kInlineOps = {&InlineInvokeDestroy<Fn>,
+                                       &InlineDestroy<Fn>};
 
     template <typename Fn>
     static Fn*&
     Boxed(void* storage)
     {
         return *static_cast<Fn**>(storage);
-    }
-    template <typename Fn>
-    static void
-    HeapInvoke(void* storage)
-    {
-        (*Boxed<Fn>(storage))();
     }
     template <typename Fn>
     static void
@@ -218,56 +186,36 @@ class alignas(32) InlineEvent
     }
     template <typename Fn>
     static void
-    HeapRelocate(void* dst, void* src)
-    {
-        ::new (dst) Fn*(Boxed<Fn>(src));
-    }
-    template <typename Fn>
-    static void
     HeapDestroy(void* storage)
     {
         delete Boxed<Fn>(storage);
     }
     template <typename Fn>
-    static constexpr Ops kHeapOps = {
-        &HeapInvoke<Fn>, &HeapInvokeDestroy<Fn>, &HeapRelocate<Fn>,
-        &HeapDestroy<Fn>};
-
-    void
-    MoveFrom(InlineEvent& other) noexcept
-    {
-        ops_ = other.ops_;
-        if (ops_ != nullptr) {
-            ops_->relocate(storage_, other.storage_);
-            other.ops_ = nullptr;
-        }
-    }
+    static constexpr Ops kHeapOps = {&HeapInvokeDestroy<Fn>,
+                                     &HeapDestroy<Fn>};
 
     alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
     const Ops* ops_ = nullptr;
 };
 
 /**
- * One scheduled event's heap record: the (time, sequence) ordering key
- * plus intrusive pairing-heap links. Exactly 32 bytes (two records per
- * cache line), packed in their own array so comparisons and link
- * surgery never drag closure payload bytes through the cache.
+ * One event slot's key record: the (time, sequence) ordering key plus
+ * the slot's place in the radix queue. 32 bytes (two per cache line),
+ * packed apart from the closure payloads, so redistribution and cancel
+ * never drag closure bytes through the cache.
  *
- * `prev` points at the left sibling, or at the parent when this node is
- * its first child (the node x with node(x.prev).child == x convention),
- * which makes arbitrary removal O(1) link surgery. While the slot sits
- * on the free list, `prev` doubles as the next-free link; `child` and
- * `sibling` are left stale there — Push reinitializes every field, and
- * stale handles are rejected by the generation check before any link
- * is read.
+ * `bucket` is kNoBucket while the slot is free or its event has been
+ * popped and is firing; a handle's Cancel() is rejected then. While the
+ * slot sits on the free list, `pos` doubles as the next-free link.
  */
 struct alignas(32) EventKey {
+    static constexpr std::uint32_t kNoBucket = 0xffffffffu;
+
     TimePoint when{0};
     std::uint64_t seq = 0;
     std::uint32_t generation = 0;  ///< Bumped on Free; validates handles.
-    std::uint32_t child = kNilEvent;
-    std::uint32_t sibling = kNilEvent;
-    std::uint32_t prev = kNilEvent;
+    std::uint32_t bucket = kNoBucket;  ///< Radix bucket holding the slot.
+    std::uint32_t pos = kNilEvent;     ///< Index within that bucket.
 };
 
 static_assert(sizeof(void*) != 8 || sizeof(EventKey) == 32,
@@ -277,19 +225,19 @@ static_assert(sizeof(void*) != 8 || sizeof(InlineEvent) == 32,
               "targets");
 
 /**
- * Block-allocated pairing heap of events in structure-of-arrays form.
+ * Block-allocated event slots ordered by a monotone radix queue (see
+ * the file comment).
  *
- * Events are addressed by dense uint32 indices into fixed-size blocks
- * (never reallocated, so references stay stable while the arena grows)
- * and recycled LIFO through a free list. Each block is a pair of
- * parallel arrays — EventKey records and InlineEvent payloads — so the
- * heap walk touches only the dense key array. The heap orders by
- * (when, seq): strict total order, so pop order is identical to the
- * seed binary heap's and same-instant events run in insertion order.
+ * Slots are addressed by dense uint32 ids into fixed-size blocks (never
+ * reallocated, so references stay stable while the arena grows) and
+ * recycled LIFO through a free list. Each block is a pair of parallel
+ * arrays — EventKey records and InlineEvent payloads. The queue orders
+ * by (when, seq): strict total order, so same-instant events run in
+ * insertion order.
  *
- * The arena is shared-ptr-owned by its EventQueue so that EventHandles
- * may outlive the queue: a Cancel() through a stale handle lands on a
- * live arena and is rejected by the generation check.
+ * Owned by its EventQueue through a ConfinedShared pointer so that
+ * EventHandles may outlive the queue: the queue Close()s the arena as
+ * it dies, and a handle's later Cancel() finds no slot to touch.
  */
 class EventArena
 {
@@ -305,9 +253,9 @@ class EventArena
 
     /**
      * Key of the event surfaced by PopEarliest. The payload stays in
-     * the arena (slot detached from the heap but still allocated) and
-     * is run in place by InvokePopped; the cached pointer is valid
-     * until then because block storage never moves.
+     * the arena (slot out of the queue but still allocated) and is run
+     * in place by InvokePopped; the cached pointers stay valid until
+     * then because block storage never moves.
      */
     struct Popped {
         TimePoint when{0};
@@ -322,14 +270,6 @@ class EventArena
     EventArena& operator=(const EventArena&) = delete;
 
     std::size_t pending() const { return live_; }
-    bool empty() const { return root_ == kNilEvent; }
-
-    /** Time of the earliest pending event; kTimeInfinity when empty. */
-    TimePoint
-    EarliestTime() const
-    {
-        return root_ == kNilEvent ? kTimeInfinity : key(root_).when;
-    }
 
     Stats
     stats() const
@@ -340,19 +280,28 @@ class EventArena
         return s;
     }
 
-    /** Schedules an event; returns its slot index (see GenerationOf). */
+    /**
+     * Schedules `fn` at `when`, which must not be earlier than the last
+     * popped event's time; returns its slot id (see GenerationOf). The
+     * closure is built directly in its slot.
+     */
+    template <typename Fn>
     std::uint32_t
-    Push(TimePoint when, std::uint64_t seq, InlineEvent fn)
+    Push(TimePoint when, std::uint64_t seq, Fn&& fn)
     {
-        const std::uint32_t index = Allocate();
+        assert(when >= last_);
+        if (free_head_ == kNilEvent) {
+            Grow();
+        }
+        const std::uint32_t index = free_head_;
+        // Build the closure before unlinking the slot, so a throwing
+        // copy leaves the free list intact.
+        payload(index).Emplace(std::forward<Fn>(fn));
         EventKey& k = key(index);
+        free_head_ = k.pos;
         k.when = when;
         k.seq = seq;
-        k.child = kNilEvent;
-        k.sibling = kNilEvent;
-        k.prev = kNilEvent;
-        payload(index) = std::move(fn);
-        root_ = root_ == kNilEvent ? index : Meld(root_, index);
+        File(index, k);
         ++live_;
         ++stats_.scheduled;
         if (live_ > stats_.peak_pending) {
@@ -363,44 +312,57 @@ class EventArena
 
     /**
      * Pops the earliest event if it fires at or before `horizon`,
-     * unlinking it from the heap but leaving the slot allocated so the
+     * taking it out of the queue but leaving the slot allocated so the
      * closure can run in place. The caller must follow up with
      * InvokePopped(*out), which recycles the slot.
+     *
+     * last_ only ever moves to the time of an event that is popped, so
+     * it never passes `horizon`: a RunUntil that stops short of the
+     * next event leaves Now() schedulable.
      */
     bool
     PopEarliest(TimePoint horizon, Popped* out)
     {
-        if (root_ == kNilEvent) {
+        if (last_ > horizon) {
             return false;
         }
-        const std::uint32_t index = root_;
-        EventKey& k = key(index);
-        if (k.when > horizon) {
-            return false;
+        std::vector<std::uint32_t>& current = buckets_[0];
+        for (;;) {
+            while (head_ < current.size()) {
+                const std::uint32_t index = current[head_++];
+                if (index == kNilEvent) {
+                    continue;  // Cancelled at the current instant.
+                }
+                EventKey& k = key(index);
+                out->when = k.when;
+                out->seq = k.seq;
+                out->index = index;
+                out->key = &k;
+                out->fn = &payload(index);
+                k.bucket = EventKey::kNoBucket;  // Firing: not cancellable.
+                // The event leaves the pending count here, not when its
+                // slot is recycled: a firing callback that re-arms itself
+                // must see the pending() it would see after the event,
+                // or a saturated pending limit would shed the re-arm and
+                // stall the loop.
+                --live_;
+                return true;
+            }
+            current.clear();
+            head_ = 0;
+            if (!Redistribute(horizon)) {
+                return false;
+            }
         }
-        out->when = k.when;
-        out->seq = k.seq;
-        out->index = index;
-        out->key = &k;
-        out->fn = &payload(index);
-        root_ = MergePairs(k.child);
-        k.prev = kNilEvent;  // Detached: stale Cancels see "not in heap".
-        // The event leaves the pending count here, not when its slot is
-        // recycled: a firing callback that re-arms itself must see the
-        // same pending() the pre-SoA queue showed it, or a saturated
-        // pending limit would shed the re-arm and stall the loop.
-        --live_;
-        return true;
     }
 
     /**
-     * Runs a popped event's closure directly from its (detached, still
-     * allocated) slot — one fused invoke+destroy dispatch, no payload
-     * relocation — then recycles the slot. Block storage is address-
-     * stable, so the closure may freely schedule new events (growing
-     * the arena) while it runs; a Cancel() racing the firing event
-     * through a stale handle is rejected because the slot is no longer
-     * root and has no parent link.
+     * Runs a popped event's closure directly from its (still allocated)
+     * slot — one fused invoke+destroy dispatch, no payload relocation —
+     * then recycles the slot. Block storage is address-stable, so the
+     * closure may freely schedule new events (growing the arena) while
+     * it runs; a Cancel() of the firing event through its own handle is
+     * rejected because the slot is in no bucket.
      */
     void
     InvokePopped(const Popped& popped)
@@ -416,7 +378,7 @@ class EventArena
             {
                 EventKey& k = *popped->key;
                 ++k.generation;
-                k.prev = arena->free_head_;
+                k.pos = arena->free_head_;
                 arena->free_head_ = popped->index;
             }
         } recycle{this, &popped};
@@ -424,9 +386,9 @@ class EventArena
     }
 
     /**
-     * Eagerly removes a pending event (cancellation). O(log n)
-     * amortized; a no-op returning false when the handle is stale (the
-     * event already fired, was cancelled, or the slot was recycled).
+     * Eagerly removes a pending event (cancellation) in O(1); a no-op
+     * returning false when the handle is stale (the event already fired
+     * or is firing, was cancelled, or the slot was recycled).
      */
     bool
     Remove(std::uint32_t index, std::uint32_t generation)
@@ -435,13 +397,16 @@ class EventArena
             return false;
         }
         EventKey& k = key(index);
-        if (index == root_) {
-            root_ = MergePairs(k.child);
+        std::vector<std::uint32_t>& bucket = buckets_[k.bucket];
+        if (k.bucket == 0) {
+            bucket[k.pos] = kNilEvent;  // Keeps the instant's order.
         } else {
-            Detach(index);
-            const std::uint32_t sub = MergePairs(k.child);
-            if (sub != kNilEvent) {
-                root_ = Meld(root_, sub);
+            const std::uint32_t moved = bucket.back();
+            bucket[k.pos] = moved;
+            key(moved).pos = k.pos;
+            bucket.pop_back();
+            if (bucket.empty()) {
+                mask_ &= ~(std::uint64_t{1} << k.bucket);
             }
         }
         ++stats_.cancelled;
@@ -449,13 +414,13 @@ class EventArena
         return true;
     }
 
-    /** True while the (index, generation) pair names a pending event. */
+    /** True while the (index, generation) pair names a queued event. */
     bool
     IsLive(std::uint32_t index, std::uint32_t generation) const
     {
         return index < blocks_.size() * kBlockSize &&
-               key(index).generation == generation && live_ > 0 &&
-               InHeap(index);
+               key(index).generation == generation &&
+               key(index).bucket != EventKey::kNoBucket;
     }
 
     std::uint32_t
@@ -464,9 +429,34 @@ class EventArena
         return key(index).generation;
     }
 
+    /**
+     * Destroys every pending event unrun and releases all storage (the
+     * owning queue is dying). Lifetime counters survive; every later
+     * IsLive() and Remove() is false, since no slot id is in range.
+     */
+    void
+    Close()
+    {
+        // Detach the storage first: a closure's destructor may cancel
+        // through a handle into this arena, which must then find it
+        // already empty.
+        std::vector<Block> blocks = std::move(blocks_);
+        blocks_.clear();
+        buckets_ = {};
+        free_head_ = kNilEvent;
+        head_ = 0;
+        mask_ = 0;
+        live_ = 0;
+    }
+
   private:
     static constexpr std::size_t kBlockShift = 7;
     static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
+    static constexpr std::size_t kBuckets = 64;
+    /** Ids a bucket reserves when it first grows. A fresh queue fills
+     *  its buckets from empty, and doubling from one id would
+     *  reallocate at every power of two on the way up. */
+    static constexpr std::size_t kMinBucketCapacity = 64;
 
     /** One block: parallel key/payload arrays of kBlockSize slots. */
     struct Block {
@@ -493,186 +483,83 @@ class EventArena
             .fns[index & (kBlockSize - 1)];
     }
 
-    /**
-     * A generation match already implies the slot is allocated (Free
-     * bumps the generation before the slot can be observed again), so
-     * this is a structural sanity check only: the root, or any node
-     * with a parent/sibling link, is in the heap.
-     */
-    bool
-    InHeap(std::uint32_t index) const
-    {
-        return index == root_ || key(index).prev != kNilEvent;
-    }
-
-    /** Branch-free (when, seq) comparison: merge chains carry near-
-     *  random keys, so a short-circuit compare mispredicts constantly
-     *  in the hottest loop (MergePairs ~75% of churn CPU). */
-    bool
-    Less(std::uint32_t a, std::uint32_t b) const
-    {
-        const EventKey& ka = key(a);
-        const EventKey& kb = key(b);
-        return static_cast<int>(ka.when < kb.when) |
-               (static_cast<int>(ka.when == kb.when) &
-                static_cast<int>(ka.seq < kb.seq));
-    }
-
-    /** Hints the prefetcher at a key about to be compared/linked. */
+    /** Appends a slot to the bucket its time selects relative to last_:
+     *  the bit width of the XOR, 0 for the current instant. */
     void
-    Prefetch(std::uint32_t index) const
+    File(std::uint32_t index, EventKey& k)
     {
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(&key(index));
-#else
-        (void)index;
-#endif
-    }
-
-    /** Melds two detached trees; the loser becomes the winner's first
-     *  child. Both inputs must be valid roots (prev/sibling nil). The
-     *  winner/loser selection compiles to conditional moves — the
-     *  outcome is a coin flip on merge chains, so a branch here would
-     *  eat a misprediction per meld. */
-    std::uint32_t
-    Meld(std::uint32_t a, std::uint32_t b)
-    {
-        const bool b_wins = Less(b, a);
-        const std::uint32_t w = b_wins ? b : a;
-        const std::uint32_t l = b_wins ? a : b;
-        EventKey& winner = key(w);
-        EventKey& loser = key(l);
-        loser.sibling = winner.child;
-        if (winner.child != kNilEvent) {
-            key(winner.child).prev = l;
+        const auto b = static_cast<std::uint32_t>(std::bit_width(
+            static_cast<std::uint64_t>(k.when.count()) ^
+            static_cast<std::uint64_t>(last_.count())));
+        std::vector<std::uint32_t>& bucket = buckets_[b];
+        k.bucket = b;
+        k.pos = static_cast<std::uint32_t>(bucket.size());
+        if (bucket.size() == bucket.capacity()) {
+            bucket.reserve(
+                std::max(kMinBucketCapacity, 2 * bucket.size()));
         }
-        loser.prev = w;
-        winner.child = l;
-        return w;
-    }
-
-    /** Unlinks a non-root node from its parent/sibling chain. */
-    void
-    Detach(std::uint32_t index)
-    {
-        EventKey& k = key(index);
-        EventKey& p = key(k.prev);
-        if (p.child == index) {
-            p.child = k.sibling;
-        } else {
-            p.sibling = k.sibling;
-        }
-        if (k.sibling != kNilEvent) {
-            key(k.sibling).prev = k.prev;
-        }
-        k.sibling = kNilEvent;
-        k.prev = kNilEvent;
+        bucket.push_back(index);
+        mask_ |= std::uint64_t{1} << b;
     }
 
     /**
-     * Two-pass pairing merge of a first-child chain, in place.
-     *
-     * The textbook second pass walks the paired roots right-to-left,
-     * which would mean buffering them in a scratch vector. This
-     * version threads the pair winners into a reversed intrusive list
-     * through their (root-unused) `sibling` links instead — prepending
-     * during the pairing pass reverses the chain for free — so the
-     * whole merge runs on the key array's own cache lines with zero
-     * side allocations or vector traffic. Heap *shape* may differ from
-     * the scratch-vector version's, but pop order cannot: (when, seq)
-     * is a strict total order, so the minimum is unique and traces are
-     * unchanged.
+     * Refills the empty current-instant bucket from the lowest
+     * non-empty bucket: its minimum time becomes last_ and every event
+     * in it is re-filed below it. Changes nothing and returns false
+     * when the queue is empty or its earliest event is past `horizon`.
      */
-    std::uint32_t
-    MergePairs(std::uint32_t first)
+    bool
+    Redistribute(TimePoint horizon)
     {
-        if (first == kNilEvent) {
-            return kNilEvent;
+        const std::uint64_t occupied = mask_ & ~std::uint64_t{1};
+        if (occupied == 0) {
+            return false;
         }
-        // Fast paths: in steady churn most popped roots have 0-2
-        // children, where the general loop's bookkeeping dominates.
-        const std::uint32_t second = key(first).sibling;
-        if (second == kNilEvent) {
-            key(first).prev = kNilEvent;
-            return first;
+        const auto b = static_cast<std::uint32_t>(std::countr_zero(occupied));
+        std::vector<std::uint32_t>& source = buckets_[b];
+        TimePoint earliest = kTimeInfinity;
+        for (const std::uint32_t index : source) {
+            earliest = std::min(earliest, key(index).when);
         }
-        if (key(second).sibling == kNilEvent) {
-            key(first).sibling = kNilEvent;
-            key(first).prev = kNilEvent;
-            key(second).prev = kNilEvent;
-            return Meld(first, second);
+        if (earliest > horizon) {
+            return false;
         }
-
-        // Pass 1: meld adjacent pairs left-to-right, prepending each
-        // winner onto `paired` (reversed list threaded via `sibling`).
-        // We also tried a full multipass variant (repeat this pass
-        // until one root remains) for its independent-meld ILP; it
-        // measured ~35% slower on steady churn — the heap quality loss
-        // outweighs the latency overlap — so two-pass it stays.
-        std::uint32_t paired = kNilEvent;
-        std::uint32_t cur = first;
-        while (cur != kNilEvent) {
-            const std::uint32_t a = cur;
-            const std::uint32_t b = key(a).sibling;
-            if (b == kNilEvent) {
-                key(a).prev = kNilEvent;
-                key(a).sibling = paired;
-                paired = a;
-                break;
+        last_ = earliest;
+        // Every event here agrees with the new last_ above bit b-1, so
+        // each lands in a bucket below b: `source` is not appended to
+        // while it is walked.
+        for (const std::uint32_t index : source) {
+            File(index, key(index));
+        }
+        source.clear();
+        mask_ &= ~(std::uint64_t{1} << b);
+        // The events now at last_ arrived in bucket order; restore the
+        // instant's sequence order (later schedules at last_ carry
+        // higher sequence numbers, so appending keeps it).
+        std::vector<std::uint32_t>& current = buckets_[0];
+        if (current.size() > 1) {
+            std::sort(current.begin(), current.end(),
+                      [this](std::uint32_t x, std::uint32_t y) {
+                          return key(x).seq < key(y).seq;
+                      });
+            for (std::size_t i = 0; i < current.size(); ++i) {
+                key(current[i]).pos = static_cast<std::uint32_t>(i);
             }
-            const std::uint32_t next = key(b).sibling;
-            if (next != kNilEvent) {
-                Prefetch(next);
-            }
-            key(a).sibling = kNilEvent;
-            key(a).prev = kNilEvent;
-            key(b).sibling = kNilEvent;
-            key(b).prev = kNilEvent;
-            const std::uint32_t winner = Meld(a, b);
-            key(winner).sibling = paired;
-            paired = winner;
-            cur = next;
         }
-
-        // Pass 2: accumulate along the reversed list — i.e. right-to-
-        // left over the original chain, preserving the amortized bound.
-        std::uint32_t acc = paired;
-        std::uint32_t rest = key(acc).sibling;
-        key(acc).sibling = kNilEvent;
-        while (rest != kNilEvent) {
-            const std::uint32_t n = rest;
-            rest = key(n).sibling;
-            if (rest != kNilEvent) {
-                Prefetch(rest);
-            }
-            key(n).sibling = kNilEvent;
-            acc = Meld(n, acc);
-        }
-        return acc;
+        return true;
     }
 
-    std::uint32_t
-    Allocate()
-    {
-        if (free_head_ == kNilEvent) {
-            Grow();
-        }
-        const std::uint32_t index = free_head_;
-        free_head_ = key(index).prev;
-        key(index).prev = kNilEvent;
-        return index;
-    }
-
-    /** Recycles a slot: bumps its generation (invalidating every handle
-     *  to the fired/cancelled event), destroys the payload, and pushes
-     *  the slot on the free list. */
+    /** Recycles a cancelled slot: bumps its generation (invalidating
+     *  every handle to the event), destroys the payload, and pushes the
+     *  slot on the free list. */
     void
     Free(std::uint32_t index)
     {
         EventKey& k = key(index);
         ++k.generation;
+        k.bucket = EventKey::kNoBucket;
         payload(index).Reset();
-        k.prev = free_head_;
+        k.pos = free_head_;
         free_head_ = index;
         --live_;
     }
@@ -689,14 +576,20 @@ class EventArena
         for (std::size_t i = kBlockSize; i-- > 0;) {
             const auto index =
                 static_cast<std::uint32_t>((block << kBlockShift) | i);
-            key(index).prev = free_head_;
+            key(index).pos = free_head_;
             free_head_ = index;
         }
     }
 
     std::vector<Block> blocks_;
+    /** buckets_[b]: slot ids filed under bit width b of (when ^ last_). */
+    std::array<std::vector<std::uint32_t>, kBuckets> buckets_;
+    TimePoint last_{0};  ///< Time of the last popped event.
+    std::size_t head_ = 0;  ///< Next unread entry of buckets_[0].
+    /** Bit b set while buckets_[b] has entries, for b >= 1. Bit 0 is
+     *  never read: bucket 0 drains through head_. */
+    std::uint64_t mask_ = 0;
     std::uint32_t free_head_ = kNilEvent;
-    std::uint32_t root_ = kNilEvent;
     std::size_t live_ = 0;
     Stats stats_;
 };

@@ -19,33 +19,18 @@ EventHandle::pending() const
     return arena_ && arena_->IsLive(index_, generation_);
 }
 
-EventHandle
-EventQueue::ScheduleEvent(TimePoint when, detail::InlineEvent fn)
-{
-    if (when < now_) {
-        when = now_;
-    }
-    if (pending_limit_ != 0 && arena_->pending() >= pending_limit_) {
-        ++dropped_;
-        return EventHandle::Dropped();
-    }
-    const std::uint32_t index =
-        arena_->Push(when, next_seq_++, std::move(fn));
-    return EventHandle(arena_, index, arena_->GenerationOf(index));
-}
-
 void
 EventQueue::RunUntil(TimePoint horizon)
 {
-    // Hoist the shared_ptr deref out of the hot loop; the arena cannot
-    // be released while its owning queue is running.
-    detail::EventArena* arena = arena_.get();
+    // Hoist the arena deref out of the hot loop; the arena cannot be
+    // released while its owning queue is running.
+    detail::EventArena& arena = *arena_;
     detail::EventArena::Popped event;
-    while (arena->PopEarliest(horizon, &event)) {
+    while (arena.PopEarliest(horizon, &event)) {
         now_ = event.when;
         ++executed_;
         MixTrace(event.when, event.seq);
-        arena->InvokePopped(event);
+        arena.InvokePopped(event);
     }
     if (horizon > now_ && horizon != kTimeInfinity) {
         now_ = horizon;
@@ -95,7 +80,7 @@ PeriodicTask::PeriodicTask(EventQueue& queue, Duration period,
     : queue_(queue),
       period_(period),
       fn_(std::move(fn)),
-      alive_(std::make_shared<bool>(true))
+      alive_(ConfinedShared<bool>::Make(true))
 {
     assert(period_ > Duration::zero());
     Arm();
@@ -116,8 +101,7 @@ PeriodicTask::Stop()
 void
 PeriodicTask::Arm()
 {
-    std::shared_ptr<bool> alive = alive_;
-    next_ = queue_.ScheduleAfter(period_, [this, alive] {
+    next_ = queue_.ScheduleAfter(period_, [this, alive = alive_] {
         if (!*alive) {
             return;
         }

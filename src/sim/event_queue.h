@@ -8,23 +8,32 @@
  * instant execute in insertion order, so a fixed seed reproduces a run
  * exactly.
  *
- * Internals (see sim/event_arena.h): events live in an arena-allocated
- * pairing heap addressed by 32-bit indices, keys and closure payloads
- * in separate parallel arrays. The steady schedule/fire path performs
- * no heap allocation (closures up to 24 bytes are stored inline in the
- * recycled slot and fired in place), cancellation eagerly unlinks the
- * event in O(log n) amortized with O(1) generation-token invalidation
- * of stale handles, and pop order is the same strict (time, sequence)
- * total order the seed binary-heap implementation used — same seeds
- * produce byte-identical traces, which trace_hash() fingerprints.
+ * Internals (see sim/event_arena.h): events live in arena-allocated slots
+ * addressed by 32-bit ids, keys and closure payloads in separate
+ * parallel arrays, ordered by a monotone radix queue. A steady event
+ * costs O(1) work: schedule appends its slot id to a bucket, cancel
+ * swap-removes it, and pop takes the current instant's next event or
+ * first redistributes the lowest occupied bucket. The schedule/fire
+ * path performs no heap allocation (closures up to 24 bytes are stored
+ * inline in the recycled slot and fired in place) and no atomic
+ * read-modify-write (handles and liveness tokens count references with
+ * ConfinedShared, see sim/confined_shared.h). Stale handles are
+ * invalidated in O(1) by a generation token, and pop order is the
+ * strict (time, sequence) total order the seed binary-heap queue used —
+ * same seeds produce byte-identical traces, which trace_hash()
+ * fingerprints.
+ *
+ * Thread confinement: a queue, its handles and the continuations on it
+ * belong to one thread at a time — the thread stepping the owning shard
+ * between fleet barriers (sim/confined_shared.h states the contract).
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 
+#include "sim/confined_shared.h"
 #include "sim/event_arena.h"
 #include "sim/time.h"
 
@@ -39,6 +48,10 @@ namespace sol::sim {
  * was already cancelled) is a harmless no-op — the generation token in
  * the handle can never match a recycled slot. Handles may outlive the
  * queue; every operation on a stale handle is safe and does nothing.
+ *
+ * A handle shares ownership of the queue's arena through a non-atomic
+ * ConfinedShared count, so it must stay on the thread that owns the
+ * queue (see the file comment).
  */
 class EventHandle
 {
@@ -60,7 +73,7 @@ class EventHandle
 
   private:
     friend class EventQueue;
-    EventHandle(std::shared_ptr<detail::EventArena> arena,
+    EventHandle(ConfinedShared<detail::EventArena> arena,
                 std::uint32_t index, std::uint32_t generation)
         : arena_(std::move(arena)), index_(index), generation_(generation)
     {}
@@ -74,7 +87,7 @@ class EventHandle
         return handle;
     }
 
-    std::shared_ptr<detail::EventArena> arena_;
+    ConfinedShared<detail::EventArena> arena_;
     std::uint32_t index_ = detail::kNilEvent;
     std::uint32_t generation_ = 0;
     bool cancel_took_effect_ = false;
@@ -96,7 +109,11 @@ struct EventQueueStats {
 class EventQueue : public Clock
 {
   public:
-    EventQueue() : arena_(std::make_shared<detail::EventArena>()) {}
+    EventQueue() : arena_(ConfinedShared<detail::EventArena>::Make()) {}
+
+    /** Destroys every pending event unrun; outstanding handles become
+     *  inert. */
+    ~EventQueue() override { arena_->Close(); }
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
@@ -104,13 +121,12 @@ class EventQueue : public Clock
     /** Current virtual time. */
     TimePoint Now() const override { return now_; }
 
-    /** Schedules fn at an absolute virtual time (>= Now()). */
+    /** Schedules fn at an absolute virtual time (clamped to >= Now()). */
     template <typename Fn>
     EventHandle
     ScheduleAt(TimePoint when, Fn&& fn)
     {
-        return ScheduleEvent(when,
-                             detail::InlineEvent(std::forward<Fn>(fn)));
+        return Schedule(when, std::forward<Fn>(fn));
     }
 
     /** Schedules fn after a relative delay (clamped to >= 0). */
@@ -121,8 +137,7 @@ class EventQueue : public Clock
         if (delay < Duration::zero()) {
             delay = Duration::zero();
         }
-        return ScheduleEvent(now_ + delay,
-                             detail::InlineEvent(std::forward<Fn>(fn)));
+        return Schedule(now_ + delay, std::forward<Fn>(fn));
     }
 
     /** Runs events until the queue is empty or the horizon is reached.
@@ -177,7 +192,22 @@ class EventQueue : public Clock
     EventQueueStats stats() const;
 
   private:
-    EventHandle ScheduleEvent(TimePoint when, detail::InlineEvent fn);
+    template <typename Fn>
+    EventHandle
+    Schedule(TimePoint when, Fn&& fn)
+    {
+        if (when < now_) {
+            when = now_;
+        }
+        detail::EventArena& arena = *arena_;
+        if (pending_limit_ != 0 && arena.pending() >= pending_limit_) {
+            ++dropped_;
+            return EventHandle::Dropped();
+        }
+        const std::uint32_t index =
+            arena.Push(when, next_seq_++, std::forward<Fn>(fn));
+        return EventHandle(arena_, index, arena.GenerationOf(index));
+    }
 
     /** Folds one executed event into the trace fingerprint. */
     void
@@ -190,7 +220,7 @@ class EventQueue : public Clock
         trace_hash_ *= kFnvPrime;
     }
 
-    std::shared_ptr<detail::EventArena> arena_;
+    ConfinedShared<detail::EventArena> arena_;
     TimePoint now_{0};
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
@@ -230,7 +260,7 @@ class PeriodicTask
     EventQueue& queue_;
     Duration period_;
     std::function<void()> fn_;
-    std::shared_ptr<bool> alive_;
+    ConfinedShared<bool> alive_;
     EventHandle next_;
 };
 

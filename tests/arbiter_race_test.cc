@@ -123,7 +123,10 @@ TEST(ArbiterRaceTest, NoLostHoldsAndExactAccounting)
 
     // Mixed workload across coupled AND uncoupled domains, with each
     // thread keeping its own tally; the arbiter's published metrics
-    // must agree with the callers' ground truth exactly.
+    // must agree with the callers' ground truth exactly. Workers 0, 1,
+    // 3 and 4 fight over the default-coupled CPU frequency/cores pair;
+    // workers 2 and 5 each own one uncoupled domain alone, so by
+    // construction nothing can deny them.
     constexpr int kThreads = 6;
     constexpr int kIterations = 300;
     struct Tally {
@@ -133,10 +136,10 @@ TEST(ArbiterRaceTest, NoLostHoldsAndExactAccounting)
         std::uint64_t restores = 0;
     };
     std::vector<Tally> tallies(kThreads);
-    const ActuationDomain domains[] = {
-        ActuationDomain::kCpuFrequency,
-        ActuationDomain::kCpuCores,
-        ActuationDomain::kMemoryPlacement,
+    const ActuationDomain domains[kThreads] = {
+        ActuationDomain::kCpuFrequency,  ActuationDomain::kCpuCores,
+        ActuationDomain::kMemoryPlacement, ActuationDomain::kCpuFrequency,
+        ActuationDomain::kCpuCores,      ActuationDomain::kTelemetryBudget,
     };
 
     std::vector<std::thread> threads;
@@ -144,7 +147,7 @@ TEST(ArbiterRaceTest, NoLostHoldsAndExactAccounting)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
             const std::string agent = "worker" + std::to_string(t);
-            const ActuationDomain domain = domains[t % 3];
+            const ActuationDomain domain = domains[t];
             std::mt19937 rng(1000u + static_cast<unsigned>(t));
             Tally& tally = tallies[t];
             for (int i = 0; i < kIterations; ++i) {
@@ -194,8 +197,8 @@ TEST(ArbiterRaceTest, NoLostHoldsAndExactAccounting)
     EXPECT_EQ(arbiter.conflicts_resolved(), total_denied);
     EXPECT_EQ(metrics.Counter("arbiter.conflicts"),
               arbiter.conflicts_observed());
-    // Memory-placement workers never touch the coupled CPU closure, so
-    // they are never denied.
+    // The memory-placement and telemetry-budget workers are alone on
+    // domains outside the coupled CPU closure, so they are never denied.
     EXPECT_EQ(tallies[2].denied, 0u);
     EXPECT_EQ(tallies[5].denied, 0u);
 }

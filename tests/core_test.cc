@@ -703,6 +703,43 @@ TEST_F(SimRuntimeTest, StopHaltsBothLoops)
     EXPECT_FALSE(runtime->running());
 }
 
+TEST_F(SimRuntimeTest, StoppedContinuationsStillFireAsNoOps)
+{
+    Start();
+    queue.RunUntil(Millis(45));
+    runtime->Stop();
+    const std::size_t stranded = queue.pending();
+    ASSERT_GT(stranded, 0u);
+    const std::uint64_t executed = queue.executed();
+    const std::uint64_t hash = queue.trace_hash();
+    const int collects = model.collects;
+    queue.RunUntil(Millis(500));
+    // Stop leaves its continuations queued: they fire (and so count in
+    // the trace fingerprint) but do nothing.
+    EXPECT_EQ(queue.executed(), executed + stranded);
+    EXPECT_NE(queue.trace_hash(), hash);
+    EXPECT_EQ(queue.pending(), 0u);
+    EXPECT_EQ(model.collects, collects);
+}
+
+TEST_F(SimRuntimeTest, ContinuationsOutliveADestroyedRuntime)
+{
+    Start();
+    queue.RunUntil(Millis(45));
+    const std::size_t stranded = queue.pending();
+    ASSERT_GT(stranded, 0u);
+    const std::uint64_t executed = queue.executed();
+    const int collects = model.collects;
+    runtime.reset();
+    // The continuations hold only `this` and a liveness token, which the
+    // runtime stranded false as it died: they fire without touching the
+    // destroyed runtime (the sanitizer legs would flag a use after free).
+    EXPECT_EQ(queue.pending(), stranded);
+    queue.RunUntil(Millis(500));
+    EXPECT_EQ(queue.executed(), executed + stranded);
+    EXPECT_EQ(model.collects, collects);
+}
+
 TEST_F(SimRuntimeTest, QueueBoundEvictsOldest)
 {
     RuntimeOptions options;

@@ -231,13 +231,35 @@ INSTANTIATE_TEST_SUITE_P(Stalls, StallSweepTest,
 
 // --- EventQueue differential test --------------------------------------
 //
-// The arena-backed pairing heap must be observationally identical to
-// the obviously-correct reference: a sorted vector popping the strict
+// The arena-backed radix queue must be observationally identical to the
+// obviously-correct reference: a sorted vector popping the strict
 // (time, insertion-sequence) minimum. A long seeded stream of mixed
 // schedule/cancel/step/run-until operations is applied to both; any
 // divergence in execution order, clock position, or counter accounting
 // fails. Cancels target random live handles (and occasionally stale
 // ones, which must be no-ops on both sides).
+//
+// The stream also aims at what a radix queue can get wrong, and the
+// test asserts that each case actually occurred:
+//   - bursts of >= 3 events at one future instant, so the instant is
+//     reached through a redistribution, while firing events schedule
+//     zero-delay children at that same instant;
+//   - cancelling a burst member after part of its instant has fired;
+//   - a RunUntil that stops short of the next event, then a schedule at
+//     Now() (the queue's lower time bound must not pass the horizon);
+//   - times at and beyond 2^40 ns, through far schedules and clock
+//     leaps.
+
+constexpr int kChildIdBase = 1'000'000;
+constexpr std::int64_t kFarNs = std::int64_t{1} << 40;
+
+/** Every fifth scheduled event spawns a zero-delay child when it fires;
+ *  children spawn nothing. */
+bool
+SpawnsChild(int id)
+{
+    return id < kChildIdBase && id % 5 == 0;
+}
 
 /** Reference model: the queue semantics in their simplest form. */
 class ReferenceQueue
@@ -246,7 +268,7 @@ class ReferenceQueue
     void
     Schedule(std::int64_t when, int id)
     {
-        pending_.push_back({when, next_seq_++, id});
+        pending_.push_back({std::max(when, now_), next_seq_++, id});
         ++scheduled_;
     }
 
@@ -272,9 +294,7 @@ class ReferenceQueue
         if (it == pending_.end()) {
             return false;
         }
-        now_ = std::max(now_, it->when);
-        executed_order_.push_back(it->id);
-        pending_.erase(it);
+        Fire(it);
         return true;
     }
 
@@ -286,9 +306,7 @@ class ReferenceQueue
             if (it == pending_.end() || it->when > horizon) {
                 break;
             }
-            now_ = std::max(now_, it->when);
-            executed_order_.push_back(it->id);
-            pending_.erase(it);
+            Fire(it);
         }
         now_ = std::max(now_, horizon);
     }
@@ -322,6 +340,18 @@ class ReferenceQueue
         return best;
     }
 
+    void
+    Fire(std::vector<Entry>::iterator it)
+    {
+        now_ = std::max(now_, it->when);
+        const int id = it->id;
+        pending_.erase(it);
+        executed_order_.push_back(id);
+        if (SpawnsChild(id)) {
+            Schedule(now_, id + kChildIdBase);
+        }
+    }
+
     std::vector<Entry> pending_;
     std::uint64_t next_seq_ = 0;
     std::uint64_t scheduled_ = 0;
@@ -330,11 +360,21 @@ class ReferenceQueue
     std::vector<int> executed_order_;
 };
 
+/** How often the stream hit each radix-queue edge case. */
+struct EdgeCoverage {
+    int bursts = 0;             ///< >= 3 events at one future instant.
+    int mid_burst_cancels = 0;  ///< Burst member cancelled mid-instant.
+    int short_stop_schedules = 0;  ///< Schedule at Now() after RunUntil
+                                   ///< stopped short of pending events.
+    int far_fires = 0;          ///< Ops firing events at >= 2^40 ns.
+};
+
 /** Runs the seeded op stream against both queues, checking lockstep
  *  (void so ASSERT_* can bail; results land in the out-params). */
 void
 RunDifferential(std::uint64_t seed, int num_ops,
-                std::vector<int>* order_out, std::uint64_t* hash_out)
+                std::vector<int>* order_out, std::uint64_t* hash_out,
+                EdgeCoverage* coverage)
 {
     EventQueue queue;
     ReferenceQueue reference;
@@ -342,23 +382,66 @@ RunDifferential(std::uint64_t seed, int num_ops,
 
     std::vector<int> executed_order;
     std::vector<std::pair<int, sim::EventHandle>> handles;
+    std::vector<std::size_t> last_burst;  // Indices into `handles`.
+    std::int64_t last_burst_time = -1;
+    std::size_t seen_executed = 0;
     int next_id = 0;
+    bool stopped_short = false;
+
+    struct Fire {
+        int id;
+        std::vector<int>* order;
+        EventQueue* queue;
+        void
+        operator()() const
+        {
+            order->push_back(id);
+            if (SpawnsChild(id)) {
+                queue->ScheduleAfter(sim::Duration::zero(),
+                                     Fire{id + kChildIdBase, order, queue});
+            }
+        }
+    };
+    const auto schedule = [&](std::int64_t when) {
+        const int id = next_id++;
+        handles.emplace_back(
+            id, queue.ScheduleAt(sim::TimePoint(sim::Nanos(when)),
+                                 Fire{id, &executed_order, &queue}));
+        reference.Schedule(when, id);
+    };
 
     for (int op = 0; op < num_ops; ++op) {
         const std::uint64_t choice = rng.NextBelow(100);
-        if (choice < 55) {
+        const bool after_short_stop = stopped_short;
+        stopped_short = false;
+        if (choice < 45) {
             // Schedule at a random offset; 1-in-5 at the current
-            // instant (same-instant FIFO is the subtle invariant).
-            const std::int64_t offset =
-                rng.NextBool(0.2) ? 0 : rng.NextInRange(0, 5000);
-            const std::int64_t when = queue.Now().count() + offset;
-            const int id = next_id++;
-            sim::EventHandle handle = queue.ScheduleAt(
-                sim::TimePoint(sim::Nanos(when)),
-                [id, &executed_order] { executed_order.push_back(id); });
-            reference.Schedule(when, id);
-            handles.emplace_back(id, std::move(handle));
-        } else if (choice < 70) {
+            // instant (same-instant FIFO is the subtle invariant), and
+            // now and then far out, past 2^40 ns.
+            std::int64_t offset = 0;
+            if (!rng.NextBool(0.2)) {
+                offset = rng.NextBool(0.02)
+                             ? kFarNs + rng.NextInRange(0, 1 << 20)
+                             : rng.NextInRange(0, 5000);
+            }
+            if (offset == 0 && after_short_stop) {
+                ++coverage->short_stop_schedules;
+            }
+            schedule(queue.Now().count() + offset);
+        } else if (choice < 50) {
+            // A burst of 3-6 events at one future instant: the queue
+            // reaches it through a redistribution.
+            const std::int64_t when =
+                queue.Now().count() + rng.NextInRange(1, 5000);
+            const int size = static_cast<int>(rng.NextInRange(3, 6));
+            last_burst.clear();
+            for (int i = 0; i < size; ++i) {
+                last_burst.push_back(handles.size());
+                schedule(when);
+            }
+            last_burst_time = when;
+            ++coverage->bursts;
+        } else if (choice < 62 || (choice < 66 && last_burst.empty())) {
             // Cancel a random handle — often live, sometimes already
             // fired or cancelled (must be a no-op on both sides).
             if (!handles.empty()) {
@@ -370,16 +453,47 @@ RunDifferential(std::uint64_t seed, int num_ops,
                 ASSERT_EQ(was_pending, ref_effect)
                     << "handle/reference liveness disagreed for " << id;
             }
-        } else if (choice < 85) {
+        } else if (choice < 66) {
+            // Cancel a member of the last burst — mid-instant when the
+            // clock already stands at the burst and part of it fired.
+            auto& [id, handle] =
+                handles[last_burst[rng.NextBelow(last_burst.size())]];
+            const bool was_pending = handle.pending();
+            const bool mid_burst =
+                queue.Now().count() == last_burst_time &&
+                std::any_of(last_burst.begin(), last_burst.end(),
+                            [&](std::size_t h) {
+                                return std::find(executed_order.begin(),
+                                                 executed_order.end(),
+                                                 handles[h].first) !=
+                                       executed_order.end();
+                            });
+            handle.Cancel();
+            const bool ref_effect = reference.Cancel(id);
+            ASSERT_EQ(was_pending, ref_effect)
+                << "burst cancel disagreed for " << id;
+            if (was_pending && mid_burst) {
+                ++coverage->mid_burst_cancels;
+            }
+        } else if (choice < 80) {
             const bool stepped = queue.Step();
             const bool ref_stepped = reference.Step();
             ASSERT_EQ(stepped, ref_stepped) << "Step at op " << op;
         } else {
-            const std::int64_t horizon =
-                queue.Now().count() + rng.NextInRange(0, 3000);
+            // Run to a nearby horizon, or (rarely) leap 2^40 ns ahead.
+            const std::int64_t span =
+                choice < 98 ? rng.NextInRange(0, 3000)
+                            : kFarNs + rng.NextInRange(0, 1 << 20);
+            const std::int64_t horizon = queue.Now().count() + span;
             queue.RunUntil(sim::TimePoint(sim::Nanos(horizon)));
             reference.RunUntil(horizon);
+            stopped_short = queue.pending() > 0;
         }
+        if (queue.Now().count() >= kFarNs &&
+            executed_order.size() > seen_executed) {
+            ++coverage->far_fires;
+        }
+        seen_executed = executed_order.size();
 
         ASSERT_EQ(queue.Now().count(), reference.now())
             << "clocks diverged at op " << op;
@@ -420,22 +534,30 @@ TEST_P(EventQueueDifferentialTest, MatchesSortedVectorReference)
     const std::uint64_t seed = GetParam();
     std::vector<int> order;
     std::uint64_t hash = 0;
-    RunDifferential(seed, 10'000, &order, &hash);
+    EdgeCoverage coverage;
+    RunDifferential(seed, 10'000, &order, &hash, &coverage);
     if (testing::Test::HasFatalFailure()) {
         return;
     }
     EXPECT_FALSE(order.empty());
+    // The stream must actually have exercised every edge case.
+    EXPECT_GT(coverage.bursts, 0);
+    EXPECT_GT(coverage.mid_burst_cancels, 0);
+    EXPECT_GT(coverage.short_stop_schedules, 0);
+    EXPECT_GT(coverage.far_fires, 0);
 
     // The same seed must replay the same order and trace fingerprint.
     std::vector<int> order2;
     std::uint64_t hash2 = 0;
-    RunDifferential(seed, 10'000, &order2, &hash2);
+    EdgeCoverage coverage2;
+    RunDifferential(seed, 10'000, &order2, &hash2, &coverage2);
     EXPECT_EQ(order, order2);
     EXPECT_EQ(hash, hash2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferentialTest,
-                         ::testing::Values(1u, 42u, 0xdeadbeefu));
+                         ::testing::Values(1u, 42u, 0xdeadbeefu, 7u,
+                                           2024u));
 
 }  // namespace
 }  // namespace sol::core

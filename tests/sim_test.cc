@@ -9,6 +9,7 @@
 #include <map>
 #include <vector>
 
+#include "sim/confined_shared.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/samplers.h"
@@ -388,6 +389,42 @@ TEST(EventQueueTest, SameInstantFifoSurvivesInterleavedCancellation)
     EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6, 8}));
 }
 
+TEST(EventQueueTest, CancelMidInstantSkipsOnlyThatEvent)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    std::vector<EventHandle> handles(5);
+    for (int i = 0; i < 5; ++i) {
+        handles[static_cast<std::size_t>(i)] =
+            queue.ScheduleAt(Millis(5), [&, i] {
+                order.push_back(i);
+                if (i == 1) {
+                    handles[2].Cancel();  // Same instant, next to fire.
+                    handles[1].Cancel();  // Firing right now: no-op.
+                    handles[0].Cancel();  // Already fired: no-op.
+                }
+            });
+    }
+    queue.RunUntil(Millis(10));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4}));
+    EXPECT_TRUE(handles[2].cancelled());
+    EXPECT_FALSE(handles[1].cancelled());
+    EXPECT_FALSE(handles[0].cancelled());
+    EXPECT_EQ(queue.stats().cancelled, 1u);
+}
+
+TEST(EventQueueTest, PendingLimitAdmitsSelfRearmAtSaturation)
+{
+    EventQueue queue;
+    queue.SetPendingLimit(1);
+    PeriodicTask task(queue, Millis(1), [] {});
+    queue.RunUntil(Millis(100));
+    // A firing event leaves pending() when it is popped, so the tick's
+    // re-arm fits under a limit of one and the loop never stalls.
+    EXPECT_EQ(queue.executed(), 100u);
+    EXPECT_EQ(queue.stats().dropped, 0u);
+}
+
 TEST(EventQueueTest, PendingLimitDropsLoudly)
 {
     EventQueue queue;
@@ -459,13 +496,23 @@ TEST(EventQueueTest, TraceHashSeesTimingDivergence)
 TEST(EventQueueTest, HandleOutlivesQueueSafely)
 {
     EventHandle handle;
+    int destroyed = 0;
     {
         EventQueue queue;
-        handle = queue.ScheduleAt(Millis(1), [] {});
+        struct Counted {
+            int* destroyed;
+            ~Counted() { ++*destroyed; }
+            void operator()() const {}
+        };
+        handle = queue.ScheduleAt(Millis(1), Counted{&destroyed});
+        destroyed = 0;  // Ignore the temporary's destruction.
     }
-    // The arena is shared-ptr-owned: operations on a handle whose
-    // queue died are safe no-ops.
+    // The dying queue destroyed its unrun event; the handle keeps only
+    // the emptied arena alive, so every operation on it is a no-op.
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_FALSE(handle.pending());
     handle.Cancel();
+    EXPECT_FALSE(handle.cancelled());
     EXPECT_FALSE(handle.pending());
 }
 
@@ -483,6 +530,26 @@ TEST(EventQueueTest, StatsTrackLifetimeCounters)
     EXPECT_EQ(stats.pending, 0u);
     EXPECT_EQ(stats.peak_pending, 2u);
     EXPECT_GT(stats.arena_capacity, 0u);
+}
+
+TEST(ConfinedSharedTest, LastOwnerDestroysTheObject)
+{
+    int destroyed = 0;
+    struct Tracked {
+        int* destroyed;
+        ~Tracked() { ++*destroyed; }
+    };
+    {
+        auto a = ConfinedShared<Tracked>::Make(Tracked{&destroyed});
+        destroyed = 0;  // Ignore the temporary's destruction.
+        ConfinedShared<Tracked> b = a;
+        ConfinedShared<Tracked> c = std::move(b);
+        EXPECT_EQ(a.get(), c.get());
+        a = ConfinedShared<Tracked>();
+        EXPECT_FALSE(a);
+        EXPECT_EQ(destroyed, 0);  // c still owns it.
+    }
+    EXPECT_EQ(destroyed, 1);
 }
 
 TEST(PeriodicTaskTest, TicksAtPeriod)
