@@ -346,10 +346,16 @@ telemetry::LatencyHistogram
 MultiAgentNode::EpochLatencyHistogram() const
 {
     telemetry::LatencyHistogram merged;
-    for (const AgentSlot& slot : slots_) {
-        merged.Merge(slot.epoch_latency());
-    }
+    MergeEpochLatencyInto(merged);
     return merged;
+}
+
+void
+MultiAgentNode::MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const
+{
+    for (const AgentSlot& slot : slots_) {
+        slot.merge_epoch_latency(out);
+    }
 }
 
 core::RuntimeStats

@@ -242,6 +242,10 @@ class MultiAgentNode
      *  (virtual ns; always on). */
     telemetry::LatencyHistogram EpochLatencyHistogram() const;
 
+    /** Adds every agent's epoch-duration histogram into `out` — the
+     *  copy-free form of EpochLatencyHistogram() for roll-ups. */
+    void MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const;
+
     // --- Introspection ---------------------------------------------------
     const std::string& name() const { return config_.name; }
     core::AgentRegistry& registry() { return registry_; }
@@ -303,7 +307,8 @@ class MultiAgentNode
         std::function<void()> start;
         std::function<void()> stop;
         std::function<core::RuntimeStats()> stats;
-        std::function<telemetry::LatencyHistogram()> epoch_latency;
+        std::function<void(telemetry::LatencyHistogram&)>
+            merge_epoch_latency;
     };
 
     /** Registers an agent's runtime in slots_ and the registry. */
@@ -314,8 +319,8 @@ class MultiAgentNode
         slots_.push_back({name, [runtime] { runtime->Start(); },
                           [runtime] { runtime->Stop(); },
                           [runtime] { return runtime->stats(); },
-                          [runtime] {
-                              return runtime->EpochLatencyHistogram();
+                          [runtime](telemetry::LatencyHistogram& out) {
+                              runtime->MergeEpochLatencyInto(out);
                           }});
         registrations_.emplace_back(registry_, name,
                                     [runtime, actuator] {

@@ -18,6 +18,16 @@ FleetStats::Accumulate(const FleetStats& other)
     conflicts_resolved += other.conflicts_resolved;
 }
 
+void
+HealthTotals::Accumulate(const HealthTotals& other)
+{
+    stats.Accumulate(other.stats);
+    epochs.Merge(other.epochs);
+    arbiter_requests += other.arbiter_requests;
+    arbiter_denied += other.arbiter_denied;
+    agents += other.agents;
+}
+
 NodeShard::NodeShard(const NodeShardConfig& config)
     : config_(config)
 {
@@ -100,6 +110,18 @@ NodeShard::Stats() const
         stats.conflicts_resolved += node->arbiter().conflicts_resolved();
     }
     return stats;
+}
+
+void
+NodeShard::AddHealthTo(HealthTotals& out) const
+{
+    for (const auto& node : nodes_) {
+        out.stats.Accumulate(node->AggregateStats());
+        node->MergeEpochLatencyInto(out.epochs);
+        out.arbiter_requests += node->arbiter().requests();
+        out.arbiter_denied += node->arbiter().conflicts_resolved();
+        out.agents += node->num_agents();
+    }
 }
 
 void

@@ -27,7 +27,9 @@
 #include <vector>
 
 #include "cluster/multi_agent_node.h"
+#include "core/runtime_stats.h"
 #include "sim/event_queue.h"
+#include "telemetry/latency_histogram.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace.h"
 
@@ -45,6 +47,24 @@ struct FleetStats {
 
     /** Field-wise sum, for rolling shard stats up to fleet totals. */
     void Accumulate(const FleetStats& other);
+};
+
+/**
+ * What a fleet health sample reads from a group of nodes: every agent's
+ * runtime counters, the merged epoch-latency histogram, arbiter
+ * admissions and denials, and the agent count. All of it is exact
+ * integer sums and bucket-wise histogram adds, so per-shard totals
+ * folded in any grouping equal one walk over every node.
+ */
+struct HealthTotals {
+    core::RuntimeStats stats;
+    telemetry::LatencyHistogram epochs;
+    std::uint64_t arbiter_requests = 0;
+    std::uint64_t arbiter_denied = 0;
+    std::uint64_t agents = 0;
+
+    /** Adds another group's totals (shard partials into the fleet's). */
+    void Accumulate(const HealthTotals& other);
 };
 
 /** Configuration of one shard: a contiguous slice of the fleet. */
@@ -114,6 +134,11 @@ class NodeShard
 
     /** Roll-up counters across the shard's nodes. */
     FleetStats Stats() const;
+
+    /** Adds the shard's nodes' health totals into `out`. Read-only, so
+     *  the worker that just stepped the shard can call it while other
+     *  workers step theirs. */
+    void AddHealthTo(HealthTotals& out) const;
 
     /** Merges per-node metrics (namespaced by node name) into `out`. */
     void CollectNodeMetrics(telemetry::MetricRegistry& out);

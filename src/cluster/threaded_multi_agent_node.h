@@ -437,7 +437,7 @@ class ThreadedMultiAgentNode
     {
         telemetry::LatencyHistogram merged;
         for (const AgentSlot& slot : slots_) {
-            merged.Merge(slot.epoch_latency());
+            slot.merge_epoch_latency(merged);
         }
         return merged;
     }
@@ -529,7 +529,8 @@ class ThreadedMultiAgentNode
         std::function<void()> start;
         std::function<void()> stop;
         std::function<core::RuntimeStats()> stats;
-        std::function<telemetry::LatencyHistogram()> epoch_latency;
+        std::function<void(telemetry::LatencyHistogram&)>
+            merge_epoch_latency;
         ClockPolicy* clock = nullptr;
     };
 
@@ -586,8 +587,8 @@ class ThreadedMultiAgentNode
         slots_.push_back({name, [runtime] { runtime->Start(); },
                           [runtime] { runtime->Stop(); },
                           [runtime] { return runtime->stats(); },
-                          [runtime] {
-                              return runtime->EpochLatencyHistogram();
+                          [runtime](telemetry::LatencyHistogram& out) {
+                              runtime->MergeEpochLatencyInto(out);
                           },
                           &runtime->clock()});
         registrations_.emplace_back(registry_, name,
@@ -801,8 +802,9 @@ class ThreadedMultiAgentNode
                 // Same driver-tick piggyback as the simulated node
                 // (AppendNodeHealthSample keeps the series names
                 // identical); agent stats and arbiter counters are
-                // atomics, epoch histograms shared-snapshot copies, so
-                // reading them from the driver thread is safe.
+                // atomics, epoch histograms merged under each engine's
+                // queue mutex, so reading them from the driver thread
+                // is safe.
                 health_accum += elapsed;
                 if (health_accum >= config_.health_period) {
                     AppendNodeHealthSample(

@@ -41,12 +41,14 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/actuator.h"
 #include "core/model.h"
@@ -119,6 +121,52 @@ struct AtomicStatsOps {
     }
 };
 
+/**
+ * FIFO of at most `capacity` elements in storage allocated once, at
+ * construction: the engine's prediction queue, so a running agent's
+ * steady deliver/consume loop never touches the heap. A popped slot is
+ * left moved-from until a later push overwrites it.
+ */
+template <typename T>
+class FixedRing
+{
+  public:
+    explicit FixedRing(std::size_t capacity) : slots_(capacity) {}
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    void
+    push_back(T value)
+    {
+        assert(size_ < slots_.size());
+        std::size_t tail = head_ + size_;
+        if (tail >= slots_.size()) {
+            tail -= slots_.size();
+        }
+        slots_[tail] = std::move(value);
+        ++size_;
+    }
+
+    /** Removes and returns the oldest element (the queue is non-empty). */
+    T
+    pop_front()
+    {
+        assert(size_ > 0);
+        T value = std::move(slots_[head_]);
+        if (++head_ == slots_.size()) {
+            head_ = 0;
+        }
+        --size_;
+        return value;
+    }
+
+  private:
+    std::vector<T> slots_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+};
+
 /** Policy for the event-queue backend: everything single-threaded. */
 struct SimEnginePolicy {
     using StatsOps = PlainStatsOps;
@@ -165,7 +213,7 @@ struct ThreadedEnginePolicy {
  * the shared queue + halt flag under the policy mutex internally.
  *
  * Observability: the engine always records every epoch's duration into
- * a LatencyHistogram (EpochLatencyHistogram()), and — when trace
+ * a LatencyHistogram (MergeEpochLatencyInto()), and — when trace
  * recorders are attached via SetTraceRecorders — emits phase spans
  * (collect / model_update / model_assess / actuate / assess_actuator,
  * plus a per-epoch "epoch" span) and safeguard instants
@@ -205,7 +253,8 @@ class EpochEngine
         : model_(model),
           actuator_(actuator),
           schedule_(schedule),
-          options_(options)
+          options_(options),
+          pending_(QueueSlots(options))
     {
         const auto problems = schedule_.Validate();
         if (!problems.empty()) {
@@ -427,8 +476,7 @@ class EpochEngine
                 return WakeOutcome::kHalted;
             }
             if (!pending_.empty()) {
-                pred = std::move(pending_.front());
-                pending_.pop_front();
+                pred = pending_.pop_front();
             }
         }
         if (!from_timeout && !pred.has_value()) {
@@ -551,13 +599,14 @@ class EpochEngine
         return actuator_trace_;
     }
 
-    /** Copies out the always-on epoch-duration histogram (ns; safe
-     *  from any thread under the threaded policy). */
-    telemetry::LatencyHistogram
-    EpochLatencyHistogram() const
+    /** Adds the always-on epoch-duration histogram (ns) into `out`
+     *  without copying it (safe from any thread under the threaded
+     *  policy: the merge runs under the queue mutex). */
+    void
+    MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const
     {
         ScopedLock<typename Policy::Mutex> lock(mutex_);
-        return epoch_hist_;
+        out.Merge(epoch_hist_);
     }
 
     // ---- Introspection ---------------------------------------------------
@@ -602,6 +651,22 @@ class EpochEngine
     }
 
   private:
+    /** Ring slots for the prediction queue: Deliver holds one
+     *  prediction beyond the bound until it evicts the oldest. */
+    static std::size_t
+    QueueSlots(const RuntimeOptions& options)
+    {
+        if (options.max_queued_predictions >
+            RuntimeOptions::kMaxQueuedPredictionsLimit) {
+            throw std::invalid_argument(
+                "max_queued_predictions " +
+                std::to_string(options.max_queued_predictions) +
+                " exceeds " +
+                std::to_string(RuntimeOptions::kMaxQueuedPredictionsLimit));
+        }
+        return options.max_queued_predictions + 1;
+    }
+
     /** Must hold mutex_: flushes the queue, counting each prediction
      *  as dropped while halted. */
     void
@@ -632,12 +697,12 @@ class EpochEngine
 
     // Prediction queue + halt state + epoch histogram (guarded by
     // mutex_; the histogram rides the existing guard because it is
-    // written by the model thread and copied out by any thread).
+    // written by the model thread and merged out by any thread).
     // halted_ is Policy::Flag — an atomic under the threaded policy —
     // because actuator_halted() reads it lock-free; the mutex still
     // orders every *write* against the queue state it gates.
     mutable typename Policy::Mutex mutex_;
-    std::deque<Prediction<P>> pending_ SOL_GUARDED_BY(mutex_);
+    FixedRing<Prediction<P>> pending_ SOL_GUARDED_BY(mutex_);
     std::uint64_t delivery_seq_ SOL_GUARDED_BY(mutex_) = 0;
     typename Policy::Flag halted_{false};
     sim::TimePoint halt_start_ SOL_GUARDED_BY(mutex_){0};

@@ -29,8 +29,13 @@ struct RuntimeOptions {
     /** Skip AssessPerformance/Mitigate (no actuator safeguard). */
     bool disable_actuator_safeguard = false;
 
-    /** Bound on queued predictions; oldest are evicted beyond this. */
+    /** Bound on queued predictions; oldest are evicted beyond this.
+     *  The engine allocates the queue's max + 1 slots up front, so the
+     *  bound is capped at kMaxQueuedPredictionsLimit (construction
+     *  throws std::invalid_argument above it). */
     std::size_t max_queued_predictions = 8;
+
+    static constexpr std::size_t kMaxQueuedPredictionsLimit = 4096;
 };
 
 }  // namespace sol::core

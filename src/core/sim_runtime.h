@@ -145,11 +145,12 @@ class SimRuntime
         engine_.SetTraceRecorders(recorder, recorder);
     }
 
-    /** Copy of the always-on epoch-duration histogram (virtual ns). */
-    telemetry::LatencyHistogram
-    EpochLatencyHistogram() const
+    /** Adds the always-on epoch-duration histogram (virtual ns) into
+     *  `out`, without copying it. */
+    void
+    MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const
     {
-        return engine_.EpochLatencyHistogram();
+        engine_.MergeEpochLatencyInto(out);
     }
 
     const RuntimeStats& stats() const { return engine_.stats(); }

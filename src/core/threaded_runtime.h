@@ -220,12 +220,12 @@ class ThreadedRuntime
         engine_.SetTraceRecorders(model_side, actuator_side);
     }
 
-    /** Copy of the always-on epoch-duration histogram (wall ns; safe
-     *  from any thread). */
-    telemetry::LatencyHistogram
-    EpochLatencyHistogram() const
+    /** Adds the always-on epoch-duration histogram (wall ns) into
+     *  `out`, without copying it (safe from any thread). */
+    void
+    MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const
     {
-        return engine_.EpochLatencyHistogram();
+        engine_.MergeEpochLatencyInto(out);
     }
 
     /** The time-source policy (tests drive their manual clock). */

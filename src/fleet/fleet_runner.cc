@@ -72,6 +72,9 @@ ShardedFleetRunner::ShardedFleetRunner(const FleetConfig& config,
         next_node += shard.num_nodes;
         shards_.push_back(std::make_unique<cluster::NodeShard>(shard));
     }
+    if (config_.health != nullptr) {
+        health_partials_.resize(num_shards);
+    }
 
     workers_.reserve(num_threads);
     try {
@@ -118,13 +121,20 @@ ShardedFleetRunner::WorkerMain(std::size_t worker_index)
         // Static round-robin shard ownership: shard s is stepped by
         // worker (s % W) in every window. Assignment affects only
         // wall-clock balance; shard state is thread-confined here and
-        // handed back to the main thread by the done barrier.
+        // handed back to the main thread by the done barrier. The
+        // health roll-up reads the shard here, on the thread that
+        // owns it, while its state is still in this core's cache.
         try {
             for (std::size_t s = worker_index; s < shards_.size();
                  s += workers_.size()) {
                 shards_[s]->RunUntil(horizon_);
                 if (merge_this_window_) {
                     MergeShardWindowMetrics(s);
+                }
+                if (sample_this_window_) {
+                    cluster::HealthTotals& partial = health_partials_[s];
+                    partial = {};
+                    shards_[s]->AddHealthTo(partial);
                 }
             }
         } catch (...) {
@@ -178,6 +188,10 @@ ShardedFleetRunner::Run(sim::Duration span)
         merge_this_window_ =
             config_.metrics_every_n_windows != 0 &&
             window_index_ % config_.metrics_every_n_windows == 0;
+        sample_this_window_ =
+            config_.health != nullptr &&
+            config_.health_every_n_windows != 0 &&
+            window_index_ % config_.health_every_n_windows == 0;
         start_barrier_.arrive_and_wait();
         done_barrier_.arrive_and_wait();
         // Workers are parked at the start barrier again, so the lock
@@ -203,9 +217,7 @@ ShardedFleetRunner::Run(sim::Duration span)
                 {{"window", static_cast<std::int64_t>(window_index_)},
                  {"merge", merge_this_window_ ? 1 : 0}});
         }
-        if (config_.health != nullptr &&
-            config_.health_every_n_windows != 0 &&
-            window_index_ % config_.health_every_n_windows == 0) {
+        if (sample_this_window_) {
             SampleFleetHealth(horizon);
         }
         now_ = horizon;
@@ -215,28 +227,20 @@ ShardedFleetRunner::Run(sim::Duration span)
 void
 ShardedFleetRunner::SampleFleetHealth(sim::TimePoint at)
 {
-    // Workers are parked at the start barrier, so walking every node is
-    // race-free; the walk only reads, so it is observe-only. Everything
-    // appended is an integer derived from deterministic per-node state
-    // at a barrier-synced virtual horizon — identical across repeat
-    // runs and thread counts by the same argument as fleet_trace_hash.
+    // The workers rolled every shard up at this horizon, right after
+    // stepping it (WorkerMain), and are parked now, so folding their
+    // partials is race-free. Everything appended is an integer derived
+    // from deterministic per-node state at a barrier-synced virtual
+    // horizon, and the fold is exact integer sums and bucket-wise
+    // histogram adds in shard order — identical across repeat runs and
+    // thread counts by the same argument as fleet_trace_hash.
     telemetry::TimeSeriesStore& health = *config_.health;
 
-    core::RuntimeStats stats;
-    telemetry::LatencyHistogram epoch_hist;
-    std::uint64_t arbiter_requests = 0;
-    std::uint64_t arbiter_denied = 0;
-    std::uint64_t total_agents = 0;
-    for (auto& shard : shards_) {
-        for (std::size_t n = 0; n < shard->num_nodes(); ++n) {
-            cluster::MultiAgentNode& node = shard->node(n);
-            stats.Accumulate(node.AggregateStats());
-            epoch_hist.Merge(node.EpochLatencyHistogram());
-            arbiter_requests += node.arbiter().requests();
-            arbiter_denied += node.arbiter().conflicts_resolved();
-            total_agents += node.num_agents();
-        }
+    cluster::HealthTotals fleet;
+    for (const cluster::HealthTotals& partial : health_partials_) {
+        fleet.Accumulate(partial);
     }
+    const core::RuntimeStats& stats = fleet.stats;
     const sim::EventQueueStats queue = QueueStats();
 
     const auto append = [&health, at](const char* name,
@@ -254,8 +258,8 @@ ShardedFleetRunner::SampleFleetHealth(sim::TimePoint at)
     append("fleet.queue.executed", queue.executed);
     append("fleet.queue.dropped", queue.dropped);
     append("fleet.queue.pending", queue.pending);
-    append("fleet.arbiter.requests", arbiter_requests);
-    append("fleet.arbiter.denied", arbiter_denied);
+    append("fleet.arbiter.requests", fleet.arbiter_requests);
+    append("fleet.arbiter.denied", fleet.arbiter_denied);
 
     // Error-budget denominators for time-fraction SLOs: cumulative
     // halted agent-time against cumulative scheduled agent-time
@@ -263,11 +267,11 @@ ShardedFleetRunner::SampleFleetHealth(sim::TimePoint at)
     append("fleet.agent.halted_ns",
            static_cast<std::uint64_t>(stats.halted_time.count()));
     append("fleet.agent.active_ns",
-           total_agents * static_cast<std::uint64_t>(at.count()));
+           fleet.agents * static_cast<std::uint64_t>(at.count()));
 
     // Fleet-wide epoch-latency percentiles (merged bucket-wise, so
     // exact and layout-independent).
-    const telemetry::LatencySnapshot s = epoch_hist.Snapshot();
+    const telemetry::LatencySnapshot s = fleet.epochs.Snapshot();
     append("fleet.node.epoch_latency.count", s.count);
     append("fleet.node.epoch_latency.p50_ns", s.p50_ns);
     append("fleet.node.epoch_latency.p90_ns", s.p90_ns);
@@ -386,7 +390,7 @@ ShardedFleetRunner::CollectFleetMetrics(telemetry::MetricRegistry& out)
     telemetry::LatencyHistogram epoch_hist;
     for (auto& shard : shards_) {
         for (std::size_t n = 0; n < shard->num_nodes(); ++n) {
-            epoch_hist.Merge(shard->node(n).EpochLatencyHistogram());
+            shard->node(n).MergeEpochLatencyInto(epoch_hist);
         }
     }
     if (!epoch_hist.empty()) {

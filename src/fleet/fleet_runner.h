@@ -117,14 +117,19 @@ struct FleetConfig {
 
     /**
      * Health timeline store sampled at window barriers (null disables).
-     * Every `health_every_n_windows`-th barrier, the main thread —
-     * workers parked, so no races and no dependence on thread count —
-     * walks every node and appends the fleet's health counters,
-     * error-budget denominators, and the merged epoch-latency
-     * percentiles as "fleet.*" series at the window's virtual horizon.
-     * Sampling is observe-only: it schedules no events and mutates no
-     * sampled state, so enabling it leaves fleet_trace_hash() and every
-     * per-shard trace byte-identical. Caller owns the store.
+     * On every `health_every_n_windows`-th window, each worker rolls up
+     * every shard it owns right after stepping it (cluster::
+     * HealthTotals: runtime counters, merged epoch histogram, arbiter
+     * requests/denials, agent count). At the barrier the main thread
+     * folds those per-shard partials in shard order and appends the
+     * fleet's health counters, error-budget denominators, and the
+     * merged epoch-latency percentiles as "fleet.*" series at the
+     * window's virtual horizon. The partials are exact integer sums and
+     * bucket-wise histogram adds, so the samples are byte-identical for
+     * any thread count. Sampling is observe-only: it schedules no
+     * events and mutates no sampled state, so enabling it leaves
+     * fleet_trace_hash() and every per-shard trace byte-identical.
+     * Caller owns the store.
      */
     telemetry::TimeSeriesStore* health = nullptr;
 
@@ -249,8 +254,9 @@ class ShardedFleetRunner
     /** Merges one shard's health gauges into window_metrics_. */
     void MergeShardWindowMetrics(std::size_t shard_index);
 
-    /** Appends the fleet's "fleet.*" health series at `at` and runs the
-     *  alert rules. Main thread only, workers parked. */
+    /** Folds the per-shard health partials the workers rolled up this
+     *  window, appends the fleet's "fleet.*" health series at `at`, and
+     *  runs the alert rules. Main thread only, workers parked. */
     void SampleFleetHealth(sim::TimePoint at);
 
     FleetConfig config_;
@@ -267,9 +273,18 @@ class ShardedFleetRunner
     sim::TimePoint horizon_{0};
     std::uint64_t window_index_ = 0;
     bool merge_this_window_ = false;
+    /** Whether this window ends in a health sample: decided once per
+     *  window, so the workers' roll-ups and SampleFleetHealth agree. */
+    bool sample_this_window_ = false;
     bool shutdown_ = false;
 
     telemetry::SharedMetricRegistry window_metrics_;
+
+    /** One health roll-up per shard, written by the shard's worker on
+     *  sampled windows and read by the main thread after the done
+     *  barrier (the barrier orders the hand-off). Empty unless
+     *  config_.health is set. */
+    std::vector<cluster::HealthTotals> health_partials_;
 
     // First exception raised inside any shard this window; rethrown by
     // Run() at the window boundary. Once that happens the shards are at

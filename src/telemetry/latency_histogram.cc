@@ -51,7 +51,11 @@ LatencyHistogram::Merge(const LatencyHistogram& other)
     if (other.count_ == 0) {
         return;
     }
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+    // Every sample of `other` lies in [min_, max_], so only the buckets
+    // between theirs can be non-zero: an agent's epochs span a few
+    // octaves, a dozen or so of the 496 buckets.
+    const std::size_t last = BucketIndex(other.max_);
+    for (std::size_t i = BucketIndex(other.min_); i <= last; ++i) {
         buckets_[i] += other.buckets_[i];
     }
     count_ += other.count_;

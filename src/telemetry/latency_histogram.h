@@ -63,7 +63,9 @@ class LatencyHistogram
     void Record(std::uint64_t value_ns);
 
     /** Bucket-wise addition of another histogram (exact: merging then
-     *  querying equals querying the concatenated samples). */
+     *  querying equals querying the concatenated samples). Touches only
+     *  the buckets between `other`'s min and max, so its cost follows
+     *  the spread of `other`'s samples, not kNumBuckets. */
     void Merge(const LatencyHistogram& other);
 
     void Reset();

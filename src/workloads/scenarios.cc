@@ -340,7 +340,7 @@ RunScenario(const Scenario& scenario, const ScenarioOptions& options)
     for (std::size_t i = 0; i < runner.num_nodes(); ++i) {
         cluster::MultiAgentNode& node = runner.node(i);
         agents.Accumulate(node.AggregateStats());
-        epoch_hist.Merge(node.EpochLatencyHistogram());
+        node.MergeEpochLatencyInto(epoch_hist);
         for (std::size_t j = 0; j < node.num_synthetic_agents(); ++j) {
             const cluster::SyntheticActuator& actuator =
                 node.synthetic_agent(j).actuator();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/agent_registry.h"
+#include "core/epoch_engine.h"
 #include "core/prediction.h"
 #include "core/schedule.h"
 #include "core/sim_runtime.h"
@@ -742,17 +743,107 @@ TEST_F(SimRuntimeTest, ContinuationsOutliveADestroyedRuntime)
 
 TEST_F(SimRuntimeTest, QueueBoundEvictsOldest)
 {
+    // Bound 0 is the one-slot ring: every delivery is evicted the
+    // instant it is queued, so no prediction ever reaches the actuator.
+    for (const std::size_t bound : {std::size_t{2}, std::size_t{0}}) {
+        SCOPED_TRACE(bound);
+        EventQueue q;
+        FakeModel m(q);
+        FakeActuator a;
+        RuntimeOptions options;
+        options.max_queued_predictions = bound;
+        SimRuntime<int, int> rt(q, m, a, FastSchedule(), options);
+        rt.Start();
+        // Every delivered prediction is accounted exactly once: acted
+        // on, expired (evicted or stale), dropped while halted, or
+        // still queued.
+        const auto accounted = [&rt] {
+            const RuntimeStats& stats = rt.stats();
+            return stats.actions_with_prediction +
+                   stats.expired_predictions +
+                   stats.dropped_while_halted + rt.queued_predictions();
+        };
+        q.RunUntil(Millis(250));
+        ASSERT_GT(rt.stats().predictions_delivered, 0u);
+        EXPECT_EQ(accounted(), rt.stats().predictions_delivered);
+        EXPECT_LE(rt.stats().peak_queued_predictions, bound + 1);
+        if (bound == 0) {
+            EXPECT_EQ(rt.stats().actions_with_prediction, 0u);
+            EXPECT_EQ(rt.stats().expired_predictions,
+                      rt.stats().predictions_delivered);
+        }
+
+        // Predictions are consumed at their delivery instant in sim, so
+        // halting actuation is what stops the queue draining: while
+        // halted, deliveries are dropped rather than queued.
+        a.performance_ok = false;
+        q.RunUntil(Millis(750));
+        EXPECT_GT(rt.stats().dropped_while_halted, 0u);
+        EXPECT_EQ(rt.queued_predictions(), 0u);
+        EXPECT_EQ(accounted(), rt.stats().predictions_delivered);
+    }
+}
+
+// The engine's queue directly: deliveries nothing consumes in between
+// evict the oldest first, and the survivors reach the actuator in
+// delivery order.
+TEST(EpochEngineTest, BoundedQueueEvictsOldestFirst)
+{
+    for (const std::size_t bound : {std::size_t{2}, std::size_t{0}}) {
+        SCOPED_TRACE(bound);
+        EventQueue q;
+        FakeModel m(q);
+        FakeActuator a;
+        RuntimeOptions options;
+        options.max_queued_predictions = bound;
+        EpochEngine<int, int, SimEnginePolicy> engine(m, a, FastSchedule(),
+                                                      options);
+        for (int value = 1; value <= 4; ++value) {
+            EXPECT_TRUE(engine.Deliver(
+                MakePrediction(value, q.Now(), Seconds(1))));
+        }
+        EXPECT_EQ(engine.queued_predictions(), bound);
+        EXPECT_EQ(engine.stats().expired_predictions, 4 - bound);
+        EXPECT_EQ(engine.stats().peak_queued_predictions, bound + 1);
+
+        using Wake = EpochEngine<int, int, SimEnginePolicy>::WakeOutcome;
+        for (std::size_t i = 0; i < bound; ++i) {
+            EXPECT_EQ(engine.ActuatorWake(q.Now(), false), Wake::kActed);
+        }
+        EXPECT_EQ(engine.ActuatorWake(q.Now(), false), Wake::kNothingToDo);
+        ASSERT_EQ(a.actions.size(), bound);
+        for (std::size_t i = 0; i < bound; ++i) {
+            ASSERT_TRUE(a.actions[i].has_value());
+            EXPECT_EQ(a.actions[i]->value,
+                      static_cast<int>(4 - bound + 1 + i));
+        }
+
+        // The ring wraps: a second round reuses the same slots in order.
+        for (int value = 5; value <= 7; ++value) {
+            engine.Deliver(MakePrediction(value, q.Now(), Seconds(1)));
+        }
+        while (engine.ActuatorWake(q.Now(), false) == Wake::kActed) {
+        }
+        ASSERT_EQ(a.actions.size(), 2 * bound);
+        for (std::size_t i = 0; i < bound; ++i) {
+            EXPECT_EQ(a.actions[bound + i]->value,
+                      static_cast<int>(7 - bound + 1 + i));
+        }
+    }
+}
+
+TEST(EpochEngineTest, RejectsQueueBoundAboveLimit)
+{
+    EventQueue q;
+    FakeModel m(q);
+    FakeActuator a;
     RuntimeOptions options;
-    options.max_queued_predictions = 2;
-    // Halt the actuator... instead: use blocking actuator that never
-    // wakes? Simplest: stall nothing; predictions are consumed
-    // immediately in sim, so force eviction by halting actuation.
-    Start(options);
-    actuator.performance_ok = false;
-    queue.RunUntil(Millis(500));
-    // While halted, deliveries are dropped rather than queued.
-    EXPECT_GT(runtime->stats().dropped_while_halted, 0u);
-    EXPECT_EQ(runtime->queued_predictions(), 0u);
+    options.max_queued_predictions =
+        RuntimeOptions::kMaxQueuedPredictionsLimit;
+    EXPECT_NO_THROW((SimRuntime<int, int>(q, m, a, FastSchedule(), options)));
+    options.max_queued_predictions += 1;
+    EXPECT_THROW((SimRuntime<int, int>(q, m, a, FastSchedule(), options)),
+                 std::invalid_argument);
 }
 
 TEST_F(SimRuntimeTest, StatsCountersConsistent)

@@ -506,19 +506,63 @@ struct FleetHealthRun {
     std::vector<AlertEvent> alerts;
 };
 
+/** Fleet layout: nodes sliced into shards (several nodes per shard
+ *  when shards < nodes). */
+struct FleetShape {
+    std::size_t nodes = 4;
+    std::size_t shards = 4;
+};
+
+/** The health sample at the fleet's current horizon against the same
+ *  quantities recomputed from public node reads, which walk every node
+ *  of every shard on the calling thread. A roll-up taken on the wrong
+ *  window or over the wrong nodes disagrees with them. */
+void
+ExpectFinalSampleMatchesNodes(fleet::ShardedFleetRunner& runner,
+                              const TimeSeriesStore& health)
+{
+    std::uint64_t epochs = 0;
+    std::uint64_t requests = 0;
+    LatencyHistogram latency;
+    for (std::size_t i = 0; i < runner.num_nodes(); ++i) {
+        cluster::MultiAgentNode& node = runner.node(i);
+        epochs += node.AggregateStats().epochs;
+        requests += node.arbiter().requests();
+        latency.Merge(node.EpochLatencyHistogram());
+    }
+    ASSERT_GT(epochs, 0u);
+    const auto sample = [&health, &runner](const char* name) {
+        std::int64_t value = -1;
+        EXPECT_TRUE(health.ValueAt(name, runner.Now(), &value)) << name;
+        return static_cast<std::uint64_t>(value);
+    };
+    EXPECT_EQ(sample("fleet.epochs"), epochs);
+    EXPECT_EQ(sample("fleet.arbiter.requests"), requests);
+    EXPECT_EQ(sample("fleet.node.epoch_latency.count"), latency.count());
+    EXPECT_EQ(sample("fleet.node.epoch_latency.p99_ns"),
+              latency.ValueAtPercentile(99.0));
+}
+
 FleetHealthRun
 RunSmallFleet(std::size_t threads, bool with_health,
-              std::size_t every_n_windows = 1)
+              std::size_t every_n_windows = 1, FleetShape shape = {})
 {
     TimeSeriesStore health;
     AlertEngine engine;
     engine.AddRules(DefaultFleetAlertRules());
     fleet::FleetConfig config = SmallFleet(
         with_health ? &health : nullptr, with_health ? &engine : nullptr);
+    config.num_nodes = shape.nodes;
+    config.num_shards = shape.shards;
     config.num_threads = threads;
     config.health_every_n_windows = every_n_windows;
     fleet::ShardedFleetRunner runner(config);
     runner.Run(sim::Seconds(1));
+    if (with_health && every_n_windows != 0) {
+        // 1 s is a whole number of sampling periods for N = 1 and 2, so
+        // the last window was sampled.
+        ExpectFinalSampleMatchesNodes(runner, health);
+    }
     runner.Stop();
 
     FleetHealthRun result;
@@ -532,20 +576,34 @@ RunSmallFleet(std::size_t threads, bool with_health,
 
 TEST(FleetHealth, TimelineIsIdenticalAcrossRepeatsAndThreads)
 {
-    const FleetHealthRun base = RunSmallFleet(1, true);
-    EXPECT_GT(base.samples, 0u);
+    struct Layout {
+        const char* name;
+        FleetShape shape;
+        std::size_t every_n_windows;
+    };
+    for (const Layout& layout :
+         {Layout{"4 nodes in 4 shards", {4, 4}, 1},
+          Layout{"6 nodes in 3 shards", {6, 3}, 1},
+          Layout{"6 nodes in 3 shards, every 2nd window", {6, 3}, 2}}) {
+        SCOPED_TRACE(layout.name);
+        const FleetHealthRun base =
+            RunSmallFleet(1, true, layout.every_n_windows, layout.shape);
+        EXPECT_GT(base.samples, 0u);
 
-    const FleetHealthRun repeat = RunSmallFleet(1, true);
-    EXPECT_EQ(base.timeline_hash, repeat.timeline_hash);
-    EXPECT_EQ(base.samples, repeat.samples);
-    EXPECT_EQ(base.alerts, repeat.alerts);
+        const FleetHealthRun repeat =
+            RunSmallFleet(1, true, layout.every_n_windows, layout.shape);
+        EXPECT_EQ(base.timeline_hash, repeat.timeline_hash);
+        EXPECT_EQ(base.samples, repeat.samples);
+        EXPECT_EQ(base.alerts, repeat.alerts);
 
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-        const FleetHealthRun run = RunSmallFleet(threads, true);
-        EXPECT_EQ(base.timeline_hash, run.timeline_hash)
-            << threads << " threads";
-        EXPECT_EQ(base.samples, run.samples) << threads << " threads";
-        EXPECT_EQ(base.alerts, run.alerts) << threads << " threads";
+        for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+            const FleetHealthRun run = RunSmallFleet(
+                threads, true, layout.every_n_windows, layout.shape);
+            EXPECT_EQ(base.timeline_hash, run.timeline_hash)
+                << threads << " threads";
+            EXPECT_EQ(base.samples, run.samples) << threads << " threads";
+            EXPECT_EQ(base.alerts, run.alerts) << threads << " threads";
+        }
     }
 }
 

@@ -6,8 +6,9 @@
  * wrappers around malloc/free, warms a queue up, and then checks that a
  * long steady stretch of SimRuntime and PeriodicTask events performs no
  * heap allocation at all: closures are built in recycled arena slots,
- * radix buckets keep their capacity, and handles and liveness tokens
- * only bump ConfinedShared counts.
+ * radix buckets keep their capacity, handles and liveness tokens only
+ * bump ConfinedShared counts, and every delivered prediction lands in
+ * the engine's fixed ring, allocated when the runtime was built.
  */
 #include <gtest/gtest.h>
 
@@ -106,17 +107,22 @@ class QuietModel : public Model<int, int>
     const sim::Clock& clock_;
 };
 
-/** Actuator whose safeguard stays tripped: the engine drops every
- *  prediction instead of queueing it in its std::deque (which allocates
- *  a chunk every few deliveries, outside the event path), while wakes,
- *  timeout re-arms and assessments keep running. */
-class HaltedActuator : public Actuator<int>
+/** Actuator that stays healthy and acts on every prediction, so the
+ *  whole loop runs: delivery into the engine's queue, the actuator wake
+ *  that consumes it, timeout re-arms, and passing assessments. */
+class LiveActuator : public Actuator<int>
 {
   public:
-    void TakeAction(std::optional<Prediction<int>>) override {}
-    bool AssessPerformance() override { return false; }
+    void
+    TakeAction(std::optional<Prediction<int>> pred) override
+    {
+        with_prediction += pred.has_value() ? 1 : 0;
+    }
+    bool AssessPerformance() override { return true; }
     void Mitigate() override {}
     void CleanUp() override {}
+
+    std::uint64_t with_prediction = 0;
 };
 
 Schedule
@@ -135,11 +141,11 @@ TEST(HotPathTest, SteadySimRuntimeAndPeriodicTaskEventsDoNotAllocate)
 {
     sim::EventQueue queue;
     std::vector<std::unique_ptr<QuietModel>> models;
-    std::vector<std::unique_ptr<HaltedActuator>> actuators;
+    std::vector<std::unique_ptr<LiveActuator>> actuators;
     std::vector<std::unique_ptr<SimRuntime<int, int>>> runtimes;
     for (int i = 0; i < 16; ++i) {
         models.push_back(std::make_unique<QuietModel>(queue));
-        actuators.push_back(std::make_unique<HaltedActuator>());
+        actuators.push_back(std::make_unique<LiveActuator>());
         runtimes.push_back(std::make_unique<SimRuntime<int, int>>(
             queue, *models.back(), *actuators.back(), SteadySchedule()));
         runtimes.back()->Start();
@@ -154,20 +160,34 @@ TEST(HotPathTest, SteadySimRuntimeAndPeriodicTaskEventsDoNotAllocate)
     // allocations in a queue's life. So the measured window sits
     // between two such crossings: 2^33 ns (8.6 s) and 2^34 ns (17.2 s).
     queue.RunUntil(Seconds(9));
-    ASSERT_TRUE(runtimes.front()->actuator_halted());
+    const auto acted = [&actuators] {
+        std::uint64_t total = 0;
+        for (const auto& actuator : actuators) {
+            total += actuator->with_prediction;
+        }
+        return total;
+    };
     const std::uint64_t allocations = g_allocations;
     const std::uint64_t executed = queue.executed();
     const std::uint64_t cancelled = queue.stats().cancelled;
+    const std::uint64_t acted_before = acted();
 
     queue.RunUntil(Seconds(17));
 
     EXPECT_EQ(g_allocations - allocations, 0u);
     // The window really was the steady path: PeriodicTask ticks plus
-    // every SimRuntime continuation kind, timeout cancels included.
+    // every SimRuntime continuation kind, timeout cancels included, and
+    // the agents' predictions were queued and acted on.
     EXPECT_GT(queue.executed() - executed, 150'000u);
     EXPECT_GT(queue.stats().cancelled - cancelled, 0u);
     EXPECT_EQ(queue.stats().dropped, 0u);
     EXPECT_GT(ticks, 150'000);
+    // 16 agents, one 40 ms epoch each, over 8 s.
+    EXPECT_GT(acted() - acted_before, 16u * 150u);
+    for (const auto& runtime : runtimes) {
+        EXPECT_FALSE(runtime->actuator_halted());
+        EXPECT_EQ(runtime->stats().dropped_while_halted, 0u);
+    }
 }
 
 }  // namespace

@@ -455,24 +455,61 @@ TEST(LatencyHistogramTest, PercentileClampedToObservedRange)
 
 TEST(LatencyHistogramTest, MergeMatchesCombinedRecording)
 {
-    LatencyHistogram a;
-    LatencyHistogram b;
-    LatencyHistogram combined;
+    std::vector<std::uint64_t> spread_a;
+    std::vector<std::uint64_t> spread_b;
     for (std::uint64_t v = 1; v <= 500; ++v) {
-        a.Record(v * 3);
-        combined.Record(v * 3);
+        spread_a.push_back(v * 3);
+        spread_b.push_back(v * 7'919);
     }
-    for (std::uint64_t v = 1; v <= 500; ++v) {
-        b.Record(v * 7'919);
-        combined.Record(v * 7'919);
-    }
-    a.Merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_EQ(a.sum_ns(), combined.sum_ns());
-    EXPECT_EQ(a.min_ns(), combined.min_ns());
-    EXPECT_EQ(a.max_ns(), combined.max_ns());
-    for (const double p : {50.0, 90.0, 99.0, 99.9}) {
-        EXPECT_EQ(a.ValueAtPercentile(p), combined.ValueAtPercentile(p));
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
+    struct Case {
+        const char* name;
+        std::vector<std::uint64_t> target;
+        std::vector<std::uint64_t> other;
+    };
+    const std::vector<Case> cases = {
+        {"overlapping spreads", spread_a, spread_b},
+        {"exact buckets 0-7", {3, 9, 20, 1'000}, {0, 1, 2, 3, 4, 5, 6, 7}},
+        {"into exact buckets", {0, 1, 2, 3, 4, 5, 6, 7}, {5, 8, 1'000}},
+        // UINT64_MAX lands in the last bucket (495), above its bucket's
+        // midpoint: a merge that skips other's top bucket would report
+        // the clamped max instead of the bucket representative.
+        {"sample at UINT64_MAX", {5, 100, 100'000}, {kMax}},
+        {"top bucket of several", {5, 100}, {1'000, kMax - 1, kMax}},
+        {"single-sample other", spread_a, {4'242}},
+        {"empty other", spread_a, {}},
+        {"empty target", {}, spread_b},
+        {"disjoint, other above", {1, 2, 3, 10, 11}, {1u << 30, 3u << 30}},
+        {"disjoint, other below", {1u << 30, 3u << 30}, {1, 2, 3, 10, 11}},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        LatencyHistogram a;
+        LatencyHistogram b;
+        LatencyHistogram combined;
+        for (const std::uint64_t v : c.target) {
+            a.Record(v);
+            combined.Record(v);
+        }
+        for (const std::uint64_t v : c.other) {
+            b.Record(v);
+            combined.Record(v);
+        }
+        a.Merge(b);
+        EXPECT_EQ(a.count(), combined.count());
+        EXPECT_EQ(a.sum_ns(), combined.sum_ns());
+        EXPECT_EQ(a.min_ns(), combined.min_ns());
+        EXPECT_EQ(a.max_ns(), combined.max_ns());
+        // Every rank, not a few percentiles: a dropped or misplaced
+        // bucket anywhere shifts the answer at some rank.
+        const std::uint64_t count = combined.count();
+        EXPECT_EQ(a.ValueAtPercentile(0.0), combined.ValueAtPercentile(0.0));
+        for (std::uint64_t k = 1; k <= count; ++k) {
+            const double p = 100.0 * static_cast<double>(k) /
+                             static_cast<double>(count);
+            ASSERT_EQ(a.ValueAtPercentile(p), combined.ValueAtPercentile(p))
+                << "rank " << k << " of " << count;
+        }
     }
 }
 
