@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace sol::agents {
 
@@ -38,6 +39,9 @@ HarvestModel::HarvestModel(node::Node& node, node::VmId primary_vm,
       out_of_cores_ring_(config.assess_window, false),
       features_(config.feature_bits)
 {
+    if (config.assess_window == 0) {
+        throw std::invalid_argument("assess_window must be positive");
+    }
     epoch_usage_.reserve(600);
 }
 

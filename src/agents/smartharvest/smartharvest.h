@@ -59,7 +59,8 @@ struct SmartHarvestConfig {
     unsigned feature_bits = 16;
     double learning_rate = 0.1;
     sim::Duration prediction_ttl = sim::Millis(60);
-    /** Epochs in the out-of-cores assessment window (40 = 1 s). */
+    /** Epochs in the out-of-cores assessment window (40 = 1 s); must be
+     *  positive. */
     std::size_t assess_window = 40;
     /** AssessModel fails when more than this fraction of recent epochs
      *  ran the primary out of idle cores. */

@@ -97,6 +97,33 @@ AppendNodeHealthSample(telemetry::SharedTimeSeriesStore& health,
     append("epoch_latency.p999_ns", s.p999_ns);
 }
 
+void
+AssignChannelRates(const MultiAgentNodeConfig& config, sim::Rng& rng,
+                   node::ChannelArray& channels)
+{
+    // A hot channel is drawn until one below the hot rate turns up, so
+    // either config below would spin forever.
+    if (config.hot_channels > config.num_channels) {
+        throw std::invalid_argument("hot_channels exceeds num_channels");
+    }
+    if (config.hot_channels > 0 &&
+        !(config.hot_rate_per_sec > config.cold_rate_per_sec)) {
+        throw std::invalid_argument(
+            "hot_rate_per_sec must exceed cold_rate_per_sec");
+    }
+    for (node::ChannelId c = 0; c < channels.num_channels(); ++c) {
+        channels.SetIncidentRate(c, config.cold_rate_per_sec);
+    }
+    for (std::size_t picked = 0; picked < config.hot_channels;) {
+        const auto c = static_cast<node::ChannelId>(
+            rng.NextBelow(config.num_channels));
+        if (channels.IncidentRate(c) < config.hot_rate_per_sec) {
+            channels.SetIncidentRate(c, config.hot_rate_per_sec);
+            ++picked;
+        }
+    }
+}
+
 MultiAgentNode::MultiAgentNode(sim::EventQueue& queue,
                                MultiAgentNodeConfig config)
     : queue_(queue),
@@ -132,17 +159,7 @@ MultiAgentNode::MultiAgentNode(sim::EventQueue& queue,
         std::make_unique<workloads::ZipfMemoryPattern>(pattern_config);
 
     // --- Telemetry-channel substrate: a few hot channels. -------------
-    for (node::ChannelId c = 0; c < channels_.num_channels(); ++c) {
-        channels_.SetIncidentRate(c, config_.cold_rate_per_sec);
-    }
-    for (std::size_t picked = 0; picked < config_.hot_channels;) {
-        const auto c = static_cast<node::ChannelId>(
-            rng_.NextBelow(config_.num_channels));
-        if (channels_.IncidentRate(c) < config_.hot_rate_per_sec) {
-            channels_.SetIncidentRate(c, config_.hot_rate_per_sec);
-            ++picked;
-        }
-    }
+    AssignChannelRates(config_, rng_, channels_);
 
     // --- Agents: concurrent registration on the shared node. ----------
     if (config_.run_overclock) {

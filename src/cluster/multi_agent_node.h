@@ -195,6 +195,17 @@ struct MultiAgentNodeConfig {
     agents::SmartMonitorConfig monitor;
 };
 
+/**
+ * Sets every channel to config.cold_rate_per_sec, then raises
+ * config.hot_channels distinct channels, drawn from `rng`, to
+ * config.hot_rate_per_sec. Both node variants call it, so they draw the
+ * same hot channels. Throws std::invalid_argument before the first draw
+ * when the draws could never finish: more hot channels than channels,
+ * or hot channels no hotter than cold ones.
+ */
+void AssignChannelRates(const MultiAgentNodeConfig& config, sim::Rng& rng,
+                        node::ChannelArray& channels);
+
 /** All four paper agents co-located on one simulated node. */
 class MultiAgentNode
 {

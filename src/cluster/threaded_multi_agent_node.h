@@ -566,17 +566,7 @@ class ThreadedMultiAgentNode
         memory_pattern_ = std::make_unique<workloads::ZipfMemoryPattern>(
             pattern_config);
 
-        for (node::ChannelId c = 0; c < channels_.num_channels(); ++c) {
-            channels_.SetIncidentRate(c, config_.cold_rate_per_sec);
-        }
-        for (std::size_t picked = 0; picked < config_.hot_channels;) {
-            const auto c = static_cast<node::ChannelId>(
-                rng_.NextBelow(config_.num_channels));
-            if (channels_.IncidentRate(c) < config_.hot_rate_per_sec) {
-                channels_.SetIncidentRate(c, config_.hot_rate_per_sec);
-                ++picked;
-            }
-        }
+        AssignChannelRates(config_, rng_, channels_);
     }
 
     /** Registers an agent's runtime in slots_ and the registry. */

@@ -7,6 +7,12 @@
  * regressor over hashed features that predicts the *cost* of choosing the
  * class; prediction picks the argmin-cost class; training regresses each
  * class's score toward its observed cost with online gradient descent.
+ *
+ * Weights live in a sparse table keyed by hashed feature index: one row of
+ * num_classes weights per index that an Update has touched. Memory grows
+ * with the distinct features seen, not with the 2^num_bits hash space
+ * (SmartHarvest touches 10 of 65,536 indices). An untouched index weighs
+ * 0.0 in every class, exactly as in a zero-filled dense table.
  */
 #pragma once
 
@@ -27,7 +33,7 @@ struct Feature {
 class FeatureVector
 {
   public:
-    /** @param num_bits Hash space is 2^num_bits weights per class. */
+    /** @param num_bits log2 of the hash space, in [1, 28]. */
     explicit FeatureVector(unsigned num_bits = 18);
 
     /** Adds a named real-valued feature. */
@@ -52,12 +58,23 @@ class FeatureVector
 /** Configuration for CostSensitiveClassifier. */
 struct CostSensitiveConfig {
     std::size_t num_classes = 0;
-    unsigned num_bits = 18;       ///< log2 of per-class weight table size.
+    /// log2 of the feature hash space, [1, 28]. Sizes nothing: it only
+    /// bounds the FeatureVector masks the classifier accepts.
+    unsigned num_bits = 18;
     double learning_rate = 0.05;  ///< SGD step size.
     double l2 = 0.0;              ///< L2 regularization strength.
 };
 
-/** Cost-sensitive one-against-all linear classifier. */
+/**
+ * Cost-sensitive one-against-all linear classifier.
+ *
+ * Predict, PredictCost and Update throw std::invalid_argument for a
+ * FeatureVector whose mask() is wider than this classifier's hash space.
+ * Rows are keyed by whatever index arrives, so this checks that the two
+ * configs agree; it does not guard memory. Predict and PredictCost never add a weight row and never allocate.
+ * Update allocates only to add rows for new indices or to grow its
+ * scratch to a longer FeatureVector than any before.
+ */
 class CostSensitiveClassifier
 {
   public:
@@ -66,7 +83,8 @@ class CostSensitiveClassifier
     /** Class with the lowest predicted cost. */
     std::size_t Predict(const FeatureVector& x) const;
 
-    /** Predicted cost of one class. */
+    /** Predicted cost of one class; throws std::out_of_range when
+     *  cls >= num_classes. */
     double PredictCost(const FeatureVector& x, std::size_t cls) const;
 
     /**
@@ -75,17 +93,33 @@ class CostSensitiveClassifier
      */
     void Update(const FeatureVector& x, const std::vector<double>& costs);
 
+    /** Drops every weight row and the update count. */
     void Reset();
 
     std::size_t num_classes() const { return config_.num_classes; }
     std::size_t updates() const { return updates_; }
+    /** Distinct feature indices holding a weight row. */
+    std::size_t num_rows() const { return indices_.size(); }
 
   private:
-    double Dot(const FeatureVector& x, std::size_t cls) const;
+    static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+    void CheckHashSpace(const FeatureVector& x) const;
+    /** Offset of index's row in weights_, or kNoRow if untouched. */
+    std::size_t RowOffset(std::uint32_t index) const;
+    /** Adds every feature's weight * value, in feature order, to
+     *  cost[i] for classes first .. first + n - 1. */
+    void AddCosts(const FeatureVector& x, std::size_t first, std::size_t n,
+                  double* cost) const;
 
     CostSensitiveConfig config_;
-    std::vector<double> weights_;  ///< num_classes * 2^num_bits, row-major.
-    std::size_t table_size_;
+    std::uint32_t mask_;  ///< 2^num_bits - 1; widest FeatureVector mask.
+    /** Feature indices holding a weight row, ascending. */
+    std::vector<std::uint32_t> indices_;
+    /** num_classes weights per entry of indices_, in the same order. */
+    std::vector<double> weights_;
+    /** Update's row of each feature; kept so its storage is reused. */
+    std::vector<double*> feature_rows_;
     std::size_t updates_ = 0;
 };
 

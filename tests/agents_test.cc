@@ -226,6 +226,14 @@ TEST_F(SmartHarvestTest, ScheduleMatchesPaper)
     EXPECT_TRUE(schedule.IsValid());
 }
 
+TEST_F(SmartHarvestTest, RejectsEmptyAssessmentWindow)
+{
+    SmartHarvestConfig config;
+    config.assess_window = 0;
+    EXPECT_THROW(HarvestModel(node, primary, queue, config),
+                 std::invalid_argument);
+}
+
 TEST_F(SmartHarvestTest, ValidationDiscardsCensoredSamples)
 {
     // Usage below the grant: valid.

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "cluster/cluster_driver.h"
 #include "cluster/interference_arbiter.h"
@@ -42,6 +44,18 @@ ActuationRequest
 Restore(const std::string& agent, ActuationDomain domain)
 {
     return {agent, domain, ActuationIntent::kRestore, 0.0};
+}
+
+/** Node configs whose hot-channel draw could never finish. */
+std::vector<MultiAgentNodeConfig>
+UnplaceableHotChannelConfigs()
+{
+    std::vector<MultiAgentNodeConfig> configs(3);
+    configs[0].num_channels = 4;
+    configs[0].hot_channels = 5;  // More hot channels than channels.
+    configs[1].hot_rate_per_sec = configs[1].cold_rate_per_sec;
+    configs[2].hot_rate_per_sec = 0.001;  // Colder than cold (0.004).
+    return configs;
 }
 
 // ---- InterferenceArbiter ------------------------------------------------
@@ -204,6 +218,29 @@ TEST(MultiAgentNode, ArbiterResolvesScriptedActuatorConflict)
 }
 
 // ---- MultiAgentNode lifecycle -------------------------------------------
+
+TEST(MultiAgentNode, RejectsUnplaceableHotChannels)
+{
+    for (const MultiAgentNodeConfig& config :
+         UnplaceableHotChannelConfigs()) {
+        sim::EventQueue queue;
+        EXPECT_THROW(MultiAgentNode(queue, config), std::invalid_argument);
+    }
+    // Every channel hot is fine, and so is any rate with none hot.
+    MultiAgentNodeConfig all_hot;
+    all_hot.num_channels = 4;
+    all_hot.hot_channels = 4;
+    sim::EventQueue queue;
+    MultiAgentNode hot_node(queue, all_hot);
+    for (node::ChannelId c = 0; c < 4; ++c) {
+        EXPECT_EQ(hot_node.channels().IncidentRate(c),
+                  all_hot.hot_rate_per_sec);
+    }
+    MultiAgentNodeConfig none_hot;
+    none_hot.hot_channels = 0;
+    none_hot.hot_rate_per_sec = 0.0;
+    EXPECT_NO_THROW(MultiAgentNode(queue, none_hot));
+}
 
 TEST(MultiAgentNode, RunsAllFourAgentsConcurrently)
 {
@@ -514,6 +551,15 @@ TEST(ThreadedMultiAgentNode, RunsSyntheticFleetOnRealThreads)
     EXPECT_TRUE(
         WaitUntil([&] { return node.AggregateStats().epochs > before; }));
     node.Stop();
+}
+
+TEST(ThreadedMultiAgentNode, RejectsUnplaceableHotChannels)
+{
+    for (const MultiAgentNodeConfig& config :
+         UnplaceableHotChannelConfigs()) {
+        EXPECT_THROW(ThreadedMultiAgentNode<>{config},
+                     std::invalid_argument);
+    }
 }
 
 TEST(ThreadedMultiAgentNode, RunsRealAgentsOnSharedSubstrate)

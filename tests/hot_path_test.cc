@@ -1,6 +1,7 @@
 /**
  * @file
- * The steady schedule→fire path allocates nothing.
+ * The steady schedule→fire path allocates nothing, and building a node
+ * stays within a fixed memory budget.
  *
  * This binary replaces the global allocation functions with counting
  * wrappers around malloc/free, warms a queue up, and then checks that a
@@ -8,7 +9,10 @@
  * heap allocation at all: closures are built in recycled arena slots,
  * radix buckets keep their capacity, handles and liveness tokens only
  * bump ConfinedShared counts, and every delivered prediction lands in
- * the engine's fixed ring, allocated when the runtime was built.
+ * the engine's fixed ring, allocated when the runtime was built. The
+ * wrappers also sum the bytes requested, which bounds what one
+ * fleet-shaped node allocates while it is built: the fleet pays it once
+ * per node.
  */
 #include <gtest/gtest.h>
 
@@ -17,20 +21,25 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "cluster/multi_agent_node.h"
 #include "core/sim_runtime.h"
+#include "ml/cost_sensitive.h"
 #include "sim/event_queue.h"
 
 namespace {
 
 // Tests run on one thread; nothing else allocates while a count is read.
 std::uint64_t g_allocations = 0;
+std::uint64_t g_allocated_bytes = 0;
 
 void*
 CountedAlloc(std::size_t size, std::size_t align)
 {
     ++g_allocations;
+    g_allocated_bytes += size;
     const std::size_t bytes = size == 0 ? 1 : size;
     void* p = align <= alignof(std::max_align_t)
                   ? std::malloc(bytes)
@@ -188,6 +197,48 @@ TEST(HotPathTest, SteadySimRuntimeAndPeriodicTaskEventsDoNotAllocate)
         EXPECT_FALSE(runtime->actuator_halted());
         EXPECT_EQ(runtime->stats().dropped_while_halted, 0u);
     }
+}
+
+TEST(HotPathTest, ClassifierStopsAllocatingOnceItsIndicesAreSeen)
+{
+    ml::CostSensitiveConfig config;
+    config.num_classes = 7;
+    config.num_bits = 16;
+    ml::CostSensitiveClassifier classifier(config);
+    ml::FeatureVector x(16);
+    x.AddBias();
+    x.Add("mean", 2.5);
+    x.Add("p90", 4.0);
+    const std::vector<double> costs = ml::AsymmetricCosts(7, 3, 4.0, 1.0);
+    classifier.Update(x, costs);
+
+    const std::uint64_t allocations = g_allocations;
+    std::size_t predicted = 0;
+    for (int i = 0; i < 100; ++i) {
+        classifier.Update(x, costs);
+        predicted += classifier.Predict(x);
+    }
+    EXPECT_EQ(g_allocations - allocations, 0u);
+    EXPECT_GT(predicted, 0u);
+}
+
+TEST(HotPathTest, FleetShapedNodeBuildsWithinOneMebibyte)
+{
+    // The paper's deployment shape: the four paper agents plus 73
+    // synthetics. Building one takes 572,744 bytes with sparse
+    // classifier rows, about half the budget; a dense per-agent table
+    // (SmartHarvest's classifier once zero-filled 3.67 MB) fails it.
+    cluster::MultiAgentNodeConfig config;
+    config.synthetic_agents = 73;
+    sim::EventQueue queue;
+
+    const std::uint64_t bytes = g_allocated_bytes;
+    auto node = std::make_unique<cluster::MultiAgentNode>(queue, config);
+    const std::uint64_t built = g_allocated_bytes - bytes;
+
+    EXPECT_EQ(node->num_agents(), 77u);
+    EXPECT_LE(built, std::uint64_t{1} << 20);
+    RecordProperty("construction_bytes", std::to_string(built));
 }
 
 }  // namespace

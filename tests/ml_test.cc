@@ -1,11 +1,18 @@
 /**
  * @file
- * Tests for the ML substrate: Q-learning, cost-sensitive classification,
- * Thompson sampling, and feature hashing.
+ * Tests for the ML substrate: Q-learning, cost-sensitive classification
+ * (including a differential test of its sparse weight table against a
+ * dense reference), Thompson sampling, and feature hashing.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "ml/cost_sensitive.h"
@@ -215,6 +222,70 @@ TEST(CostSensitiveTest, RejectsBadConfig)
     EXPECT_THROW(CostSensitiveClassifier{config}, std::invalid_argument);
 }
 
+TEST(CostSensitiveTest, RejectsNumBitsOutsideFeatureVectorRange)
+{
+    CostSensitiveConfig config = SmallCsConfig();
+    config.num_classes = 1;
+    for (const unsigned bits : {0u, 29u, 64u}) {
+        config.num_bits = bits;
+        EXPECT_THROW(CostSensitiveClassifier{config}, std::invalid_argument)
+            << "num_bits " << bits;
+    }
+    config.num_bits = 1;
+    EXPECT_NO_THROW(CostSensitiveClassifier{config});
+}
+
+TEST(CostSensitiveTest, RejectsFeatureVectorWiderThanHashSpace)
+{
+    CostSensitiveClassifier clf(SmallCsConfig());  // 2^10 indices.
+    FeatureVector wide(11);
+    wide.AddHashed(1024, 1.0);  // Past the end of a 2^10 class row.
+    EXPECT_THROW(clf.Predict(wide), std::invalid_argument);
+    EXPECT_THROW(clf.PredictCost(wide, 3), std::invalid_argument);
+    EXPECT_THROW(clf.Update(wide, {1.0, 2.0, 3.0, 4.0}),
+                 std::invalid_argument);
+    EXPECT_EQ(clf.updates(), 0u);
+    EXPECT_EQ(clf.num_rows(), 0u);
+
+    // A narrower hash space fits inside the classifier's.
+    FeatureVector narrow(4);
+    narrow.AddHashed(15, 1.0);
+    clf.Update(narrow, {1.0, 2.0, 3.0, 4.0});
+    EXPECT_EQ(clf.Predict(narrow), 0u);
+}
+
+TEST(CostSensitiveTest, PredictCostRejectsUnknownClass)
+{
+    CostSensitiveClassifier clf(SmallCsConfig());
+    FeatureVector x(10);
+    x.AddBias();
+    clf.Update(x, {1.0, 2.0, 3.0, 4.0});
+    EXPECT_THROW(clf.PredictCost(x, 4), std::out_of_range);
+}
+
+TEST(CostSensitiveTest, RowsGrowWithTouchedIndicesOnly)
+{
+    CostSensitiveClassifier clf(SmallCsConfig());
+    FeatureVector x(10);
+    x.AddBias();
+    x.Add("load", 0.5);
+    x.Add("load", 0.25);  // Same index twice: one row.
+    EXPECT_EQ(clf.Predict(x), 0u);
+    EXPECT_DOUBLE_EQ(clf.PredictCost(x, 2), 0.0);
+    EXPECT_EQ(clf.num_rows(), 0u);  // Predictions add no rows.
+
+    clf.Update(x, {1.0, 0.0, 1.0, 1.0});
+    EXPECT_EQ(clf.num_rows(), 2u);
+    FeatureVector other(10);
+    other.Add("queue", 1.0);
+    EXPECT_DOUBLE_EQ(clf.PredictCost(other, 1), 0.0);
+    EXPECT_EQ(clf.num_rows(), 2u);
+
+    clf.Reset();
+    EXPECT_EQ(clf.num_rows(), 0u);
+    EXPECT_DOUBLE_EQ(clf.PredictCost(x, 0), 0.0);
+}
+
 TEST(CostSensitiveTest, UntrainedPredictsClassZero)
 {
     CostSensitiveClassifier clf(SmallCsConfig());
@@ -297,6 +368,208 @@ TEST(CostSensitiveTest, ResetForgets)
     EXPECT_DOUBLE_EQ(clf.PredictCost(x, 1), 0.0);
     EXPECT_EQ(clf.updates(), 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Differential test: sparse weight rows against the dense table they replaced
+// ---------------------------------------------------------------------------
+
+/**
+ * The classifier as it was before its weights became sparse: one dense,
+ * zero-filled row of 2^num_bits weights per class. Kept verbatim as the
+ * reference the sparse table must match bit for bit.
+ */
+class DenseReference
+{
+  public:
+    explicit DenseReference(const CostSensitiveConfig& config)
+        : config_(config),
+          table_size_(std::size_t{1} << config.num_bits),
+          weights_(config.num_classes * table_size_, 0.0)
+    {
+    }
+
+    std::size_t
+    Predict(const FeatureVector& x) const
+    {
+        std::size_t best = 0;
+        double best_cost = Dot(x, 0);
+        for (std::size_t c = 1; c < config_.num_classes; ++c) {
+            const double cost = Dot(x, c);
+            if (cost < best_cost) {
+                best_cost = cost;
+                best = c;
+            }
+        }
+        return best;
+    }
+
+    double PredictCost(const FeatureVector& x, std::size_t cls) const
+    {
+        return Dot(x, cls);
+    }
+
+    void
+    Update(const FeatureVector& x, const std::vector<double>& costs)
+    {
+        for (std::size_t c = 0; c < config_.num_classes; ++c) {
+            const double predicted = Dot(x, c);
+            const double error = predicted - costs[c];
+            double* row = &weights_[c * table_size_];
+            for (const auto& f : x.features()) {
+                double& w = row[f.index];
+                w -= config_.learning_rate *
+                     (error * f.value + config_.l2 * w);
+            }
+        }
+    }
+
+    void Reset() { std::fill(weights_.begin(), weights_.end(), 0.0); }
+
+  private:
+    double
+    Dot(const FeatureVector& x, std::size_t cls) const
+    {
+        const double* row = &weights_[cls * table_size_];
+        double total = 0.0;
+        for (const auto& f : x.features()) {
+            total += row[f.index] * f.value;
+        }
+        return total;
+    }
+
+    CostSensitiveConfig config_;
+    std::size_t table_size_;
+    std::vector<double> weights_;
+};
+
+/**
+ * A cost's bits, with every NaN mapped to one pattern. Which NaN a sum
+ * of two NaNs returns depends on the operand order the compiler picks
+ * (an ASan build and a Release build pick differently), not on the
+ * classifier; every other value, signed zeros and infinities included,
+ * is compared bit for bit.
+ */
+std::uint64_t
+Bits(double value)
+{
+    return std::bit_cast<std::uint64_t>(
+        std::isnan(value) ? std::numeric_limits<double>::quiet_NaN()
+                          : value);
+}
+
+class CostSensitiveDifferentialTest
+    : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(CostSensitiveDifferentialTest, SparseRowsMatchDenseTableBitForBit)
+{
+    // 16 indices, so collisions and repeated indices are common.
+    CostSensitiveConfig config;
+    config.num_classes = GetParam();
+    config.num_bits = 4;
+    config.learning_rate = 0.05;
+    config.l2 = 0.01;
+    CostSensitiveClassifier sparse(config);
+    DenseReference dense(config);
+
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double specials[] = {kInf, -kInf,
+                               std::numeric_limits<double>::quiet_NaN()};
+    sim::Rng rng(2024);
+    // A feature value: zero, negative or positive. Predictions may also
+    // carry +-inf and NaN; updates never do, or every weight turns NaN.
+    auto value = [&rng, &specials](bool special_ok) {
+        if (special_ok && rng.NextBool(0.08)) {
+            return specials[rng.NextBelow(3)];
+        }
+        if (rng.NextBool(0.15)) {
+            return 0.0;
+        }
+        return 4.0 * rng.NextDouble() - 2.0;
+    };
+    auto features = [&rng, &value](bool special_ok) {
+        FeatureVector x(4);
+        if (rng.NextBool(0.7)) {
+            x.AddBias();
+        }
+        const std::size_t n = 1 + rng.NextBelow(6);
+        for (std::size_t i = 0; i < n; ++i) {
+            // Draw the name or index before the value, in statement order,
+            // so every compiler sees the same stream.
+            if (rng.NextBool(0.5)) {
+                std::string name = "f";
+                name += std::to_string(rng.NextBelow(40));
+                x.Add(name, value(special_ok));
+            } else {
+                const auto index =
+                    static_cast<std::uint32_t>(rng.NextBelow(64));
+                x.AddHashed(index, value(special_ok));
+            }
+        }
+        return x;
+    };
+
+    std::set<std::uint32_t> touched;
+    std::size_t predictions = 0;
+    std::size_t updates = 0;
+    std::size_t nan_costs = 0;
+    std::size_t finite_costs = 0;
+    std::size_t untouched_specials = 0;
+    for (int step = 0; step < 12'000; ++step) {
+        // Frequent resets restart from an empty table, so predictions
+        // often meet indices no update has touched yet.
+        if (step % 500 == 499) {
+            sparse.Reset();
+            dense.Reset();
+            touched.clear();
+        }
+        if (rng.NextBool(0.5)) {
+            const FeatureVector x = features(false);
+            std::vector<double> costs(config.num_classes);
+            for (double& cost : costs) {
+                cost = rng.NextBool(0.2) ? 0.0 : 5.0 * rng.NextDouble() - 1.0;
+            }
+            sparse.Update(x, costs);
+            dense.Update(x, costs);
+            for (const auto& f : x.features()) {
+                touched.insert(f.index);
+            }
+            ++updates;
+            ASSERT_EQ(sparse.num_rows(), touched.size()) << "step " << step;
+            continue;
+        }
+        const FeatureVector x = features(true);
+        for (const auto& f : x.features()) {
+            if (!std::isfinite(f.value) && touched.count(f.index) == 0) {
+                ++untouched_specials;
+            }
+        }
+        ASSERT_EQ(sparse.Predict(x), dense.Predict(x)) << "step " << step;
+        for (std::size_t c = 0; c < config.num_classes; ++c) {
+            const double cost = sparse.PredictCost(x, c);
+            ASSERT_EQ(Bits(cost), Bits(dense.PredictCost(x, c)))
+                << "step " << step << " class " << c;
+            nan_costs += std::isnan(cost) ? 1 : 0;
+            finite_costs += std::isfinite(cost) && cost != 0.0 ? 1 : 0;
+        }
+        ++predictions;
+        ASSERT_EQ(sparse.num_rows(), touched.size()) << "step " << step;
+    }
+    // The stream really covered both call kinds and the special values,
+    // including on indices no update had touched yet, and the weights
+    // stayed finite, so most costs compared were ordinary numbers.
+    EXPECT_GT(predictions, 5'000u);
+    EXPECT_GT(updates, 5'000u);
+    EXPECT_GT(finite_costs, predictions * config.num_classes / 2);
+    EXPECT_GT(nan_costs, 0u);
+    EXPECT_GT(untouched_specials, 10u);
+}
+
+// Predict sums 8 classes per pass over the features: 5 classes fit one
+// pass, 11 need two.
+INSTANTIATE_TEST_SUITE_P(ClassCounts, CostSensitiveDifferentialTest,
+                         ::testing::Values(std::size_t{5}, std::size_t{11}));
 
 TEST(AsymmetricCostsTest, ShapeIsVShaped)
 {
