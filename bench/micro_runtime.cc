@@ -183,7 +183,6 @@ BM_CostSensitivePredict(benchmark::State& state)
 {
     sol::ml::CostSensitiveConfig config;
     config.num_classes = 7;
-    config.num_bits = 16;
     sol::ml::CostSensitiveClassifier clf(config);
     sol::ml::FeatureVector x(16);
     x.AddBias();
@@ -201,7 +200,6 @@ BM_CostSensitiveUpdate(benchmark::State& state)
 {
     sol::ml::CostSensitiveConfig config;
     config.num_classes = 7;
-    config.num_bits = 16;
     sol::ml::CostSensitiveClassifier clf(config);
     sol::ml::FeatureVector x(16);
     x.AddBias();

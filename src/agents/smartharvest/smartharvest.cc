@@ -35,7 +35,7 @@ HarvestModel::HarvestModel(node::Node& node, node::VmId primary_vm,
       config_(config),
       classifier_(ml::CostSensitiveConfig{
           static_cast<std::size_t>(node.AllocatedCores(primary_vm)) + 1,
-          config.feature_bits, config.learning_rate, 0.0}),
+          config.learning_rate, 0.0}),
       out_of_cores_ring_(config.assess_window, false),
       features_(config.feature_bits)
 {

@@ -250,18 +250,4 @@ MakeSyntheticSchedule(const SyntheticAgentConfig& config)
     return schedule;
 }
 
-SyntheticAgent::SyntheticAgent(sim::EventQueue& queue,
-                               const SyntheticAgentConfig& config,
-                               core::ActuationGovernor* governor,
-                               const core::RuntimeOptions& options)
-    : config_(config),
-      model_(config_, queue),
-      actuator_(config_),
-      runtime_(queue, model_, actuator_, MakeSyntheticSchedule(config_),
-               options)
-{
-    actuator_.SetGovernor(governor);
-    actuator_.SetClock(&queue);
-}
-
 }  // namespace sol::cluster

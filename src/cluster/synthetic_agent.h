@@ -22,7 +22,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "core/actuation.h"
 #include "core/actuator.h"
@@ -120,8 +122,7 @@ struct SyntheticAgentConfig {
 };
 
 /** Builds the (possibly jittered/bursty) schedule a synthetic agent
- *  runs on. Exposed so ThreadedMultiAgentNode hosts the same agent
- *  logic on a ThreadedRuntime with an identical cadence. */
+ *  runs on, whichever host runs it. */
 core::Schedule MakeSyntheticSchedule(const SyntheticAgentConfig& config);
 
 /** Random-walk telemetry + running-mean model; O(1) per call. */
@@ -213,33 +214,88 @@ class SyntheticActuator : public core::Actuator<double>
     std::uint64_t assessments_seen_ = 0;  ///< Actuator-thread only.
 };
 
-/** One synthetic agent: model + actuator + SimRuntime, ready to Start. */
-class SyntheticAgent
+/**
+ * Hosts one agent on an event queue: the queue is its clock, and the
+ * runtime a SimRuntime on it. The queue serializes every model and
+ * actuator call on one thread, so Run wraps nothing.
+ */
+template <typename D, typename P>
+class SimAgentHost
 {
   public:
-    using Runtime = core::SimRuntime<double, double>;
+    using Runtime = core::SimRuntime<D, P>;
+
+    explicit SimAgentHost(sim::EventQueue& queue) : queue_(queue) {}
+
+    const sim::Clock& clock() const { return queue_; }
+    Runtime& runtime() { return *runtime_; }
+
+    /** Builds the runtime over `model` and `actuator`; returns the
+     *  actuator it drives, `actuator` itself. */
+    core::Actuator<P>&
+    Run(core::Model<D, P>& model, core::Actuator<P>& actuator,
+        const core::Schedule& schedule, const core::RuntimeOptions& options)
+    {
+        runtime_.emplace(queue_, model, actuator, schedule, options);
+        return actuator;
+    }
+
+  private:
+    sim::EventQueue& queue_;
+    std::optional<Runtime> runtime_;
+};
+
+/**
+ * One synthetic agent: model, actuator, and the host that runs them.
+ * The host picks the runtime — SimAgentHost an event queue, the
+ * threaded node's host real threads — so a synthetic agent is wired
+ * once for both node backends, with the same seed streams and cadence.
+ */
+template <typename Host>
+class HostedSyntheticAgent
+{
+  public:
+    using Runtime = typename Host::Runtime;
 
     /**
-     * @param queue Shared event queue (owned by the node/driver).
+     * @param place What the host is built on (SimAgentHost: the shared
+     *   event queue, owned by the node/driver).
      * @param config Agent tunables; `config.name` must be unique per
      *   node (it keys the registry and metric namespace).
      * @param governor Node admission control; nullptr runs ungoverned.
      * @param options Shared runtime ablation/fault switches.
      */
-    SyntheticAgent(sim::EventQueue& queue,
-                   const SyntheticAgentConfig& config,
-                   core::ActuationGovernor* governor,
-                   const core::RuntimeOptions& options);
+    template <typename Place>
+    HostedSyntheticAgent(Place&& place, const SyntheticAgentConfig& config,
+                         core::ActuationGovernor* governor,
+                         const core::RuntimeOptions& options)
+        : config_(config),
+          host_(std::forward<Place>(place)),
+          model_(config_, host_.clock()),
+          actuator_(config_)
+    {
+        host_.Run(model_, actuator_, MakeSyntheticSchedule(config_),
+                  options);
+        actuator_.SetGovernor(governor);
+        actuator_.SetClock(&host_.clock());
+    }
 
     const std::string& name() const { return config_.name; }
-    Runtime& runtime() { return runtime_; }
+    Runtime& runtime() { return host_.runtime(); }
     SyntheticActuator& actuator() { return actuator_; }
+
+    /** The agent's time source (the threaded node's trace tracks
+     *  timestamp against it). */
+    const sim::Clock& clock() const { return host_.clock(); }
 
   private:
     SyntheticAgentConfig config_;
+    Host host_;  // Before model_: it holds the clock the model reads.
     SyntheticModel model_;
     SyntheticActuator actuator_;
-    Runtime runtime_;
 };
+
+/** One synthetic agent on an event queue, ready to Start. */
+using SyntheticAgent = HostedSyntheticAgent<SimAgentHost<double, double>>;
 
 }  // namespace sol::cluster

@@ -56,7 +56,7 @@ FeatureVector::AddHashed(std::uint32_t index, double value)
 
 CostSensitiveClassifier::CostSensitiveClassifier(
     const CostSensitiveConfig& config)
-    : config_(config), mask_(IndexMask(config.num_bits))
+    : config_(config)
 {
     if (config_.num_classes == 0) {
         throw std::invalid_argument("num_classes must be positive");
@@ -69,7 +69,6 @@ CostSensitiveClassifier::CostSensitiveClassifier(
 std::size_t
 CostSensitiveClassifier::Predict(const FeatureVector& x) const
 {
-    CheckHashSpace(x);
     // Costs of a block of classes per pass over the features, so each
     // feature's row is looked up once per block rather than per class.
     constexpr std::size_t kBlock = 8;
@@ -95,7 +94,6 @@ double
 CostSensitiveClassifier::PredictCost(const FeatureVector& x,
                                      std::size_t cls) const
 {
-    CheckHashSpace(x);
     if (cls >= config_.num_classes) {
         throw std::out_of_range("class index >= num_classes");
     }
@@ -108,7 +106,6 @@ void
 CostSensitiveClassifier::Update(const FeatureVector& x,
                                 const std::vector<double>& costs)
 {
-    CheckHashSpace(x);
     if (costs.size() != config_.num_classes) {
         throw std::invalid_argument("costs size != num_classes");
     }
@@ -154,15 +151,6 @@ CostSensitiveClassifier::Reset()
     indices_.clear();
     weights_.clear();
     updates_ = 0;
-}
-
-void
-CostSensitiveClassifier::CheckHashSpace(const FeatureVector& x) const
-{
-    if (x.mask() > mask_) {
-        throw std::invalid_argument(
-            "feature vector hash space is wider than the classifier's");
-    }
 }
 
 std::size_t

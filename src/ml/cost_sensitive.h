@@ -10,7 +10,7 @@
  *
  * Weights live in a sparse table keyed by hashed feature index: one row of
  * num_classes weights per index that an Update has touched. Memory grows
- * with the distinct features seen, not with the 2^num_bits hash space
+ * with the distinct features seen, not with the FeatureVector's hash space
  * (SmartHarvest touches 10 of 65,536 indices). An untouched index weighs
  * 0.0 in every class, exactly as in a zero-filled dense table.
  */
@@ -48,7 +48,6 @@ class FeatureVector
     void Clear() { features_.clear(); }
 
     const std::vector<Feature>& features() const { return features_; }
-    std::uint32_t mask() const { return mask_; }
 
   private:
     std::vector<Feature> features_;
@@ -58,9 +57,6 @@ class FeatureVector
 /** Configuration for CostSensitiveClassifier. */
 struct CostSensitiveConfig {
     std::size_t num_classes = 0;
-    /// log2 of the feature hash space, [1, 28]. Sizes nothing: it only
-    /// bounds the FeatureVector masks the classifier accepts.
-    unsigned num_bits = 18;
     double learning_rate = 0.05;  ///< SGD step size.
     double l2 = 0.0;              ///< L2 regularization strength.
 };
@@ -68,12 +64,10 @@ struct CostSensitiveConfig {
 /**
  * Cost-sensitive one-against-all linear classifier.
  *
- * Predict, PredictCost and Update throw std::invalid_argument for a
- * FeatureVector whose mask() is wider than this classifier's hash space.
- * Rows are keyed by whatever index arrives, so this checks that the two
- * configs agree; it does not guard memory. Predict and PredictCost never add a weight row and never allocate.
- * Update allocates only to add rows for new indices or to grow its
- * scratch to a longer FeatureVector than any before.
+ * Rows are keyed by whatever index arrives, so any FeatureVector's hash
+ * space fits. Predict and PredictCost never add a weight row and never
+ * allocate. Update allocates only to add rows for new indices or to grow
+ * its scratch to a longer FeatureVector than any before.
  */
 class CostSensitiveClassifier
 {
@@ -104,7 +98,6 @@ class CostSensitiveClassifier
   private:
     static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
 
-    void CheckHashSpace(const FeatureVector& x) const;
     /** Offset of index's row in weights_, or kNoRow if untouched. */
     std::size_t RowOffset(std::uint32_t index) const;
     /** Adds every feature's weight * value, in feature order, to
@@ -113,7 +106,6 @@ class CostSensitiveClassifier
                   double* cost) const;
 
     CostSensitiveConfig config_;
-    std::uint32_t mask_;  ///< 2^num_bits - 1; widest FeatureVector mask.
     /** Feature indices holding a weight row, ascending. */
     std::vector<std::uint32_t> indices_;
     /** num_classes weights per entry of indices_, in the same order. */

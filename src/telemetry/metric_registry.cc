@@ -12,51 +12,6 @@
 
 namespace sol::telemetry {
 
-namespace {
-
-bool
-IsValidMetricChar(char c, bool first)
-{
-    if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-        c == ':') {
-        return true;
-    }
-    return !first && c >= '0' && c <= '9';
-}
-
-}  // namespace
-
-std::string
-SanitizeMetricName(const std::string& name)
-{
-    std::string out;
-    out.reserve(name.size() + 1);
-    for (const char c : name) {
-        if (out.empty() && c >= '0' && c <= '9') {
-            out += '_';
-        }
-        out += IsValidMetricChar(c, false) ? c : '_';
-    }
-    if (out.empty()) {
-        out = "_";
-    }
-    return out;
-}
-
-bool
-IsValidMetricName(const std::string& name)
-{
-    if (name.empty()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < name.size(); ++i) {
-        if (!IsValidMetricChar(name[i], i == 0)) {
-            return false;
-        }
-    }
-    return true;
-}
-
 void
 MetricRegistry::Increment(const std::string& name, std::uint64_t delta)
 {

@@ -40,22 +40,6 @@ struct SeriesPoint {
     double y;
 };
 
-/**
- * Maps an internal metric name onto the Prometheus exposition charset
- * `[a-zA-Z_:][a-zA-Z0-9_:]*`. The mapping is stable and documented
- * (docs/OBSERVABILITY.md): '.' and '-' become '_', any other invalid
- * character becomes '_', and a leading digit gains a '_' prefix —
- * "node0.smart-harvest.epochs" → "node0_smart_harvest_epochs". The
- * mapping is intentionally not injective ("a.b" and "a_b" collide);
- * registry names keep dotted namespacing as the source of truth and
- * sanitization happens only at the exposition boundary.
- */
-std::string SanitizeMetricName(const std::string& name);
-
-/** True when `name` is already a valid Prometheus metric name (i.e.
- *  SanitizeMetricName would return it unchanged and it is non-empty). */
-bool IsValidMetricName(const std::string& name);
-
 /** Registry of counters, gauges, series, and latency histograms keyed
  *  by name. */
 class MetricRegistry
@@ -135,8 +119,8 @@ class MetricRegistry
     void Clear();
 
     /** Visits every counter in name order (deterministic). Read-only:
-     *  samplers and exposition writers iterate through these hooks
-     *  instead of friend access to the underlying maps. */
+     *  samplers iterate through these hooks instead of friend access to
+     *  the underlying maps. */
     void VisitCounters(
         const std::function<void(const std::string&, std::uint64_t)>& fn)
         const;

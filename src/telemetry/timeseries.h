@@ -30,8 +30,7 @@
  *    is the opposite — alerts ask about "now minus lookback".)
  *
  * telemetry::AlertEngine (alerting.h) evaluates SLO/alert rules over
- * these series; PrometheusWriter (exposition.h) serializes the latest
- * sample of every series as text exposition format.
+ * these series.
  */
 #pragma once
 
@@ -188,8 +187,8 @@ class TimeSeriesStore
  * Mutex-guarded TimeSeriesStore for concurrent producer/scraper pairs.
  *
  * The threaded node's driver samples its health timeline on the driver
- * thread while a live scrape (PrometheusWriter over Snapshot()) reads
- * from another; this wrapper is the SharedMetricRegistry idiom applied
+ * thread while a live scrape (over Snapshot()) reads from another; this
+ * wrapper is the SharedMetricRegistry idiom applied
  * to timelines — writers pay the lock per *sample* (10 Hz class, not
  * per event), readers take a consistent copy.
  */

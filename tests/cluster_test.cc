@@ -346,6 +346,31 @@ TEST(MultiAgentNode, TeardownWhileIntentsAreInFlight)
     queue.RunFor(sim::Seconds(1));
 }
 
+TEST(MultiAgentNode, RestartsAfterStop)
+{
+    // Stop() clears started(), and a later Start() resumes every agent
+    // on the drivers armed by the first Start().
+    sim::EventQueue queue;
+    MultiAgentNodeConfig config;
+    config.synthetic_agents = 4;
+    MultiAgentNode node(queue, config);
+    node.Start();
+    queue.RunFor(sim::Seconds(1));
+    node.Stop();
+    EXPECT_FALSE(node.started());
+    const std::uint64_t stopped_at = node.TotalEpochs();
+    EXPECT_GT(stopped_at, 0u);
+    queue.RunFor(sim::Seconds(1));
+    EXPECT_EQ(node.TotalEpochs(), stopped_at);
+
+    node.Start();
+    EXPECT_TRUE(node.started());
+    queue.RunFor(sim::Seconds(2));
+    EXPECT_GT(node.TotalEpochs(), stopped_at);
+    EXPECT_GT(node.synthetic_agent(3).runtime().stats().epochs, 0u);
+    node.Stop();
+}
+
 TEST(MultiAgentNode, RunIsDeterministicForAFixedSeed)
 {
     auto run = [](std::uint64_t seed) {

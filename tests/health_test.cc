@@ -1,8 +1,8 @@
 /**
  * @file
  * Deterministic fleet health timelines: TimeSeries ring semantics,
- * AlertEngine rule evaluation, Prometheus exposition, health reports,
- * and the fleet/node sampling integration.
+ * AlertEngine rule evaluation, health reports, and the fleet/node
+ * sampling integration.
  *
  * The load-bearing properties, in test order:
  *   1. TimeSeries — ring keeps the tail, queries refuse partial
@@ -11,11 +11,11 @@
  *      scaling, a timeline fingerprint that equal timelines share.
  *   3. AlertEngine — threshold/rate/burn conditions, hold timers,
  *      firing/resolved edges with observed values, SLO budgets.
- *   4. Exposition — byte-exact Prometheus text with sanitized names.
- *   5. Fleet integration — window-barrier sampling is byte-identical
+ *   4. Fleet integration — window-barrier sampling is byte-identical
  *      across repeat runs and 1/2/8 worker threads, and observe-only
- *      (enabling it leaves the fleet trace hash untouched).
- *   6. SharedTimeSeriesStore under concurrent producers/scrapers (the
+ *      (enabling it leaves the fleet trace hash untouched). Both node
+ *      backends reject a non-positive sampling period.
+ *   5. SharedTimeSeriesStore under concurrent producers/scrapers (the
  *      TSan leg repeats HealthConcurrency tests 20x).
  */
 #include <gtest/gtest.h>
@@ -29,10 +29,10 @@
 #include <vector>
 
 #include "cluster/multi_agent_node.h"
+#include "cluster/threaded_multi_agent_node.h"
 #include "fleet/fleet_runner.h"
 #include "sim/event_queue.h"
 #include "telemetry/alerting.h"
-#include "telemetry/exposition.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/timeseries.h"
 
@@ -398,62 +398,6 @@ TEST(AlertEngine, DefaultFleetPackIsWellFormed)
     EXPECT_EQ(engine.num_rules(), pack.size());
 }
 
-// ---- Prometheus exposition ----------------------------------------------
-
-TEST(PrometheusWriter, RegistryRendersTypedSanitizedMetrics)
-{
-    MetricRegistry registry;
-    registry.Increment("fleet.epochs", 42);
-    registry.SetGauge("fleet.load", 2.0);
-
-    const std::string text = PrometheusWriter::RegistryToString(registry);
-    EXPECT_NE(text.find("# TYPE fleet_epochs counter\n"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find("fleet_epochs 42\n"), std::string::npos);
-    EXPECT_NE(text.find("# TYPE fleet_load gauge\n"), std::string::npos);
-    EXPECT_NE(text.find("fleet_load 2\n"), std::string::npos);
-}
-
-TEST(PrometheusWriter, HistogramsExportQuantileGauges)
-{
-    MetricRegistry registry;
-    LatencyHistogram hist;
-    hist.Record(1000);
-    registry.MergeHistogram("epoch", hist);
-
-    const std::string text = PrometheusWriter::RegistryToString(registry);
-    EXPECT_NE(text.find("epoch_count 1\n"), std::string::npos) << text;
-    EXPECT_NE(text.find("epoch_p99_ns"), std::string::npos);
-}
-
-TEST(PrometheusWriter, LatestRendersVirtualMillisTimestamps)
-{
-    TimeSeriesStore store;
-    store.Append("fleet.epochs", Ms(1500), 7);
-    const std::string text = PrometheusWriter::LatestToString(store);
-    // Latest sample, sanitized name, value, virtual-ms timestamp.
-    EXPECT_EQ(text, "fleet_epochs 7 1500\n");
-}
-
-TEST(PrometheusWriter, EveryExportedNameIsValid)
-{
-    MetricRegistry registry;
-    registry.Increment("fleet.data.invalid");
-    registry.Increment("9starts.with-digit");
-    const std::string text = PrometheusWriter::RegistryToString(registry);
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        const std::string line = text.substr(start, end - start);
-        start = end + 1;
-        if (line.empty() || line[0] == '#') {
-            continue;
-        }
-        const std::string name = line.substr(0, line.find(' '));
-        EXPECT_TRUE(IsValidMetricName(name)) << line;
-    }
-}
-
 // ---- Health report ------------------------------------------------------
 
 TEST(HealthReportWriter, SerializesTimelineAlertsAndSlos)
@@ -690,6 +634,19 @@ TEST(NodeHealth, RejectsNonPositivePeriod)
     config.health_period = sim::Duration::zero();
     cluster::MultiAgentNode node(queue, config);
     EXPECT_THROW(node.Start(), std::invalid_argument);
+    EXPECT_FALSE(node.started());
+}
+
+TEST(NodeHealth, ThreadedNodeRejectsNonPositivePeriod)
+{
+    SharedTimeSeriesStore health;
+    cluster::MultiAgentNodeConfig config;
+    config.health = &health;
+    config.health_period = sim::Duration::zero();
+    cluster::ThreadedMultiAgentNode<> node(config);
+    EXPECT_THROW(node.Start(), std::invalid_argument);
+    EXPECT_FALSE(node.started());
+    EXPECT_EQ(health.Snapshot().num_series(), 0u);
 }
 
 // ---- Concurrency (TSan leg repeats HealthConcurrency 20x) ---------------
@@ -715,7 +672,6 @@ TEST(HealthConcurrency, SharedStoreSurvivesProducersAndScrapers)
         std::uint64_t scrapes = 0;
         while (!stop.load(std::memory_order_relaxed) || scrapes == 0) {
             const TimeSeriesStore snapshot = store.Snapshot();
-            (void)PrometheusWriter::LatestToString(snapshot);
             (void)snapshot.timeline_hash();
             ++scrapes;
         }

@@ -203,7 +203,6 @@ TEST(HotPathTest, ClassifierStopsAllocatingOnceItsIndicesAreSeen)
 {
     ml::CostSensitiveConfig config;
     config.num_classes = 7;
-    config.num_bits = 16;
     ml::CostSensitiveClassifier classifier(config);
     ml::FeatureVector x(16);
     x.AddBias();

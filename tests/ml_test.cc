@@ -210,7 +210,6 @@ SmallCsConfig()
 {
     CostSensitiveConfig config;
     config.num_classes = 4;
-    config.num_bits = 10;
     config.learning_rate = 0.1;
     return config;
 }
@@ -220,38 +219,6 @@ TEST(CostSensitiveTest, RejectsBadConfig)
     CostSensitiveConfig config = SmallCsConfig();
     config.num_classes = 0;
     EXPECT_THROW(CostSensitiveClassifier{config}, std::invalid_argument);
-}
-
-TEST(CostSensitiveTest, RejectsNumBitsOutsideFeatureVectorRange)
-{
-    CostSensitiveConfig config = SmallCsConfig();
-    config.num_classes = 1;
-    for (const unsigned bits : {0u, 29u, 64u}) {
-        config.num_bits = bits;
-        EXPECT_THROW(CostSensitiveClassifier{config}, std::invalid_argument)
-            << "num_bits " << bits;
-    }
-    config.num_bits = 1;
-    EXPECT_NO_THROW(CostSensitiveClassifier{config});
-}
-
-TEST(CostSensitiveTest, RejectsFeatureVectorWiderThanHashSpace)
-{
-    CostSensitiveClassifier clf(SmallCsConfig());  // 2^10 indices.
-    FeatureVector wide(11);
-    wide.AddHashed(1024, 1.0);  // Past the end of a 2^10 class row.
-    EXPECT_THROW(clf.Predict(wide), std::invalid_argument);
-    EXPECT_THROW(clf.PredictCost(wide, 3), std::invalid_argument);
-    EXPECT_THROW(clf.Update(wide, {1.0, 2.0, 3.0, 4.0}),
-                 std::invalid_argument);
-    EXPECT_EQ(clf.updates(), 0u);
-    EXPECT_EQ(clf.num_rows(), 0u);
-
-    // A narrower hash space fits inside the classifier's.
-    FeatureVector narrow(4);
-    narrow.AddHashed(15, 1.0);
-    clf.Update(narrow, {1.0, 2.0, 3.0, 4.0});
-    EXPECT_EQ(clf.Predict(narrow), 0u);
 }
 
 TEST(CostSensitiveTest, PredictCostRejectsUnknownClass)
@@ -375,15 +342,16 @@ TEST(CostSensitiveTest, ResetForgets)
 
 /**
  * The classifier as it was before its weights became sparse: one dense,
- * zero-filled row of 2^num_bits weights per class. Kept verbatim as the
- * reference the sparse table must match bit for bit.
+ * zero-filled row of 2^num_bits weights per class, with num_bits its own
+ * argument. Kept verbatim as the reference the sparse table must match
+ * bit for bit.
  */
 class DenseReference
 {
   public:
-    explicit DenseReference(const CostSensitiveConfig& config)
+    DenseReference(const CostSensitiveConfig& config, unsigned num_bits)
         : config_(config),
-          table_size_(std::size_t{1} << config.num_bits),
+          table_size_(std::size_t{1} << num_bits),
           weights_(config.num_classes * table_size_, 0.0)
     {
     }
@@ -465,13 +433,13 @@ class CostSensitiveDifferentialTest
 TEST_P(CostSensitiveDifferentialTest, SparseRowsMatchDenseTableBitForBit)
 {
     // 16 indices, so collisions and repeated indices are common.
+    constexpr unsigned kNumBits = 4;
     CostSensitiveConfig config;
     config.num_classes = GetParam();
-    config.num_bits = 4;
     config.learning_rate = 0.05;
     config.l2 = 0.01;
     CostSensitiveClassifier sparse(config);
-    DenseReference dense(config);
+    DenseReference dense(config, kNumBits);
 
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const double specials[] = {kInf, -kInf,
@@ -489,7 +457,7 @@ TEST_P(CostSensitiveDifferentialTest, SparseRowsMatchDenseTableBitForBit)
         return 4.0 * rng.NextDouble() - 2.0;
     };
     auto features = [&rng, &value](bool special_ok) {
-        FeatureVector x(4);
+        FeatureVector x(kNumBits);
         if (rng.NextBool(0.7)) {
             x.AddBias();
         }

@@ -1,10 +1,12 @@
 /**
  * @file
- * Node-level differential parity: ThreadedMultiAgentNode (77 real
- * agent threads, hardened concurrent arbiter) must produce
- * field-for-field identical aggregated RuntimeStats, per-agent runtime
- * gauges, and arbiter conflict/denial counters to the simulated
- * MultiAgentNode over identical scripted scenarios. This extends the
+ * Node-level differential parity: the node core's two backends run as
+ * each other's reference. ThreadedMultiAgentNode (77 real agent
+ * threads, hardened concurrent arbiter) must produce field-for-field
+ * identical aggregated RuntimeStats, the same gauge keys with equal
+ * values (bar the substrate gauges), and identical arbiter
+ * conflict/denial counters to the simulated MultiAgentNode over
+ * identical scripted scenarios. This extends the
  * single-runtime parity gate (tests/runtime_parity_test.cc) to the
  * full node: shared arbiter, registry teardown paths, and restarts
  * while peers hold coupled domains.
@@ -33,6 +35,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -228,7 +231,7 @@ QuiesceAgent(ThreadedNode& node, std::size_t slot, std::uint64_t granted,
 {
     const std::string name = AgentName(slot);
     const bool done = WaitUntil([&] {
-        if (!node.agent_clock(slot).Parked()) {
+        if (!node.synthetic_clock(slot).Parked()) {
             return false;
         }
         const core::RuntimeStats stats = node.AgentStats(name);
@@ -287,7 +290,7 @@ RunThreadedNodeLeg(const NodeScenario& scenario,
     const bool safeguard = scenario.safeguard;
     for (const TimelineEvent& event : timeline) {
         if (event.kind == 0) {
-            node.agent_clock(event.agent).GrantTicks(1);
+            node.synthetic_clock(event.agent).GrantTicks(1);
             QuiesceAgent(node, event.agent, event.tick, safeguard);
             if (testing::Test::HasFatalFailure()) {
                 break;
@@ -355,17 +358,30 @@ ExpectNodeParity(const NodeLegResult& sim, const NodeLegResult& threaded)
     // attribution, which is admission-order sensitive).
     EXPECT_EQ(sim.counters, threaded.counters);
 
-    // Per-agent runtime gauges, field for field. The sim node also
-    // writes node.* substrate gauges the threaded parity config does
-    // not (no real agents -> no substrate driver); those are the only
-    // keys excluded.
+    // One gauge list, whichever backend: the same keys both ways.
+    std::vector<std::string> sim_keys;
+    for (const auto& [key, value] : sim.gauges) {
+        sim_keys.push_back(key);
+    }
+    std::vector<std::string> threaded_keys;
     for (const auto& [key, value] : threaded.gauges) {
-        if (key.rfind("node.", 0) == 0) {
-            continue;
+        threaded_keys.push_back(key);
+    }
+    EXPECT_EQ(sim_keys, threaded_keys);
+
+    // Equal values, except the substrate gauges: with no real agent the
+    // threaded leg runs no substrate driver, so its substrate never
+    // advances while the simulated node's does.
+    const std::set<std::string> substrate = {
+        "node.primary_p99_ms",         "node.primary_completed_requests",
+        "node.harvested_core_seconds", "node.energy_joules",
+        "node.primary_freq_ghz",       "node.memory_remote_fraction",
+        "node.incident_coverage"};
+    for (const auto& [key, value] : sim.gauges) {
+        const auto it = threaded.gauges.find(key);
+        if (substrate.count(key) == 0 && it != threaded.gauges.end()) {
+            EXPECT_EQ(it->second, value) << "gauge " << key;
         }
-        const auto it = sim.gauges.find(key);
-        ASSERT_TRUE(it != sim.gauges.end()) << "missing gauge " << key;
-        EXPECT_EQ(it->second, value) << "gauge " << key;
     }
 }
 

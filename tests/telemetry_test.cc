@@ -753,36 +753,8 @@ TEST(WindowPercentileTest, ExtremeValuesSurviveQuantiles)
 }
 
 // ---------------------------------------------------------------------------
-// Metric name sanitization & registry visitation
+// Registry visitation
 // ---------------------------------------------------------------------------
-
-TEST(MetricNameTest, SanitizeMapsDotsAndInvalidRunsToUnderscores)
-{
-    EXPECT_EQ(SanitizeMetricName("fleet.data.invalid"),
-              "fleet_data_invalid");
-    EXPECT_EQ(SanitizeMetricName("epoch-latency.p99_ns"),
-              "epoch_latency_p99_ns");
-    EXPECT_EQ(SanitizeMetricName("already_valid:name"),
-              "already_valid:name");
-    EXPECT_EQ(SanitizeMetricName("9leading"), "_9leading");
-    EXPECT_EQ(SanitizeMetricName(""), "_");
-}
-
-TEST(MetricNameTest, ValidityMatchesSanitizedFixedPoint)
-{
-    EXPECT_TRUE(IsValidMetricName("fleet_epochs"));
-    EXPECT_TRUE(IsValidMetricName("_private:scope"));
-    EXPECT_FALSE(IsValidMetricName("fleet.epochs"));
-    EXPECT_FALSE(IsValidMetricName("9digit"));
-    EXPECT_FALSE(IsValidMetricName(""));
-    // Sanitize is idempotent and always lands on a valid name.
-    for (const char* name :
-         {"fleet.data.invalid", "9leading", "weird name!", "ok_name"}) {
-        const std::string sanitized = SanitizeMetricName(name);
-        EXPECT_TRUE(IsValidMetricName(sanitized)) << name;
-        EXPECT_EQ(SanitizeMetricName(sanitized), sanitized) << name;
-    }
-}
 
 TEST(MetricRegistryTest, VisitHooksWalkNameOrdered)
 {
