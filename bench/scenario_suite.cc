@@ -18,7 +18,7 @@
  *     so a change in what the runtime *does* under a storm — not just
  *     how fast it does it — fails the build.
  *  3. Health: every run samples the fleet health timeline at each
- *     window barrier and evaluates the default SLO/alert pack. The
+ *     window boundary and evaluates the default SLO/alert pack. The
  *     timeline hash, sample count, and full alert transition log must
  *     be identical across thread counts and a repeat run; each
  *     scenario must fire its expected_alerts signature (steady_state

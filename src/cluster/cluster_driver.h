@@ -15,7 +15,7 @@
  * one virtual clock, every node interleaved on it, exactly the PR 2
  * semantics. For fleets too large to step on one thread, see
  * fleet::ShardedFleetRunner, which holds many shards and steps them on
- * worker threads between virtual-time barriers.
+ * several threads in fork-join virtual-time windows.
  *
  * Aggregated fleet statistics land in one MetricRegistry: per-node
  * metrics namespaced by node name ("node3.smart-harvest.epochs") plus

@@ -10,8 +10,9 @@
  * it owns its queue (arena, virtual clock, trace hash), its contiguous
  * slice of the fleet's nodes, and the staggered-start scheduling, so a
  * driver can hold one shard (ClusterDriver — the serial case, exactly
- * as before) or many (fleet::ShardedFleetRunner — one per worker-thread
- * work item, stepped in parallel between barriers).
+ * as before) or many (fleet::ShardedFleetRunner — each one a work item
+ * that any of its threads may claim, stepped in parallel within a
+ * virtual-time window).
  *
  * Nodes never exchange events across shards — fleet nodes are
  * statistically independent by construction (per-node RNG streams) —

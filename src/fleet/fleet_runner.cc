@@ -3,46 +3,30 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/rng.h"
 
 namespace sol::fleet {
 
-ShardedFleetRunner::Resolved
-ShardedFleetRunner::Resolve(const FleetConfig& config)
-{
-    const std::size_t num_shards =
-        config.num_shards != 0
-            ? config.num_shards
-            : std::max<std::size_t>(config.num_nodes, 1);
-    std::size_t threads = config.num_threads;
-    if (threads == 0) {
-        const std::size_t hw = std::thread::hardware_concurrency();
-        threads = hw == 0 ? 1 : hw;
-    }
-    // More workers than shards would just idle at the barriers.
-    threads = std::clamp<std::size_t>(threads, 1, num_shards);
-    return {num_shards, threads};
-}
-
 ShardedFleetRunner::ShardedFleetRunner(const FleetConfig& config)
-    : ShardedFleetRunner(config, Resolve(config))
-{
-}
-
-ShardedFleetRunner::ShardedFleetRunner(const FleetConfig& config,
-                                       Resolved resolved)
-    : config_(config),
-      start_barrier_(
-          static_cast<std::ptrdiff_t>(resolved.num_threads + 1)),
-      done_barrier_(
-          static_cast<std::ptrdiff_t>(resolved.num_threads + 1))
+    : config_(config)
 {
     if (config_.window <= sim::Duration::zero()) {
         throw std::invalid_argument("FleetConfig::window must be positive");
     }
-    const std::size_t num_shards = resolved.num_shards;
-    const std::size_t num_threads = resolved.num_threads;
+    const std::size_t num_shards =
+        config_.num_shards != 0
+            ? config_.num_shards
+            : std::max<std::size_t>(config_.num_nodes, 1);
+    // Threads, the calling one included. More threads than shards
+    // would only check in empty-handed.
+    std::size_t num_threads = config_.num_threads;
+    if (num_threads == 0) {
+        const std::size_t hw = std::thread::hardware_concurrency();
+        num_threads = hw == 0 ? 1 : hw;
+    }
+    num_threads = std::clamp<std::size_t>(num_threads, 1, num_shards);
 
     if (config_.trace != nullptr) {
         // Fleet track before any shard track: fixed creation order
@@ -72,165 +56,210 @@ ShardedFleetRunner::ShardedFleetRunner(const FleetConfig& config,
         next_node += shard.num_nodes;
         shards_.push_back(std::make_unique<cluster::NodeShard>(shard));
     }
+    if (config_.metrics_every_n_windows != 0) {
+        shard_gauges_.resize(num_shards);
+    }
     if (config_.health != nullptr) {
         health_partials_.resize(num_shards);
     }
 
-    workers_.reserve(num_threads);
+    const auto num_helpers = static_cast<std::uint32_t>(num_threads - 1);
+    helpers_.reserve(num_helpers);
     try {
-        for (std::size_t w = 0; w < num_threads; ++w) {
-            workers_.emplace_back([this, w] { WorkerMain(w); });
+        while (helpers_.size() < num_helpers) {
+            helpers_.emplace_back(
+                [this, num_helpers] { HelperMain(num_helpers); });
         }
     } catch (...) {
-        // Thread spawn failed partway: the barriers were sized for
-        // num_threads + 1 participants, so release the workers that
-        // did start (they park at the start barrier before touching
-        // anything) by dropping the missing participants, then join.
-        // Without this, destroying the joinable threads would
-        // std::terminate.
-        shutdown_ = true;
-        for (std::size_t missing = workers_.size();
-             missing < num_threads; ++missing) {
-            start_barrier_.arrive_and_drop();
-        }
-        start_barrier_.arrive_and_wait();
-        for (std::thread& worker : workers_) {
-            worker.join();
-        }
+        // Thread spawn failed partway: the helpers that did start are
+        // parked on generation_ and have touched nothing, so wake them
+        // to exit and join them. Destroying a joinable std::thread
+        // would std::terminate.
+        JoinHelpers();
         throw;
     }
 }
 
 ShardedFleetRunner::~ShardedFleetRunner()
 {
+    JoinHelpers();
+}
+
+void
+ShardedFleetRunner::JoinHelpers()
+{
+    // Every helper is parked between windows, so none reads shutdown_
+    // until it acquires this increment.
     shutdown_ = true;
-    start_barrier_.arrive_and_wait();
-    for (std::thread& worker : workers_) {
-        worker.join();
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    for (std::thread& helper : helpers_) {
+        helper.join();
     }
 }
 
 void
-ShardedFleetRunner::WorkerMain(std::size_t worker_index)
+ShardedFleetRunner::HelperMain(std::uint32_t num_helpers)
 {
+    std::uint32_t seen = 0;
     while (true) {
-        start_barrier_.arrive_and_wait();
+        // Parks until the calling thread opens a window; the acquire
+        // pairs with its release increment, so the window's parameters
+        // and every shard's state as the last window left it are
+        // visible here.
+        generation_.wait(seen, std::memory_order_acquire);
+        seen = generation_.load(std::memory_order_acquire);
         if (shutdown_) {
             return;
         }
-        // Static round-robin shard ownership: shard s is stepped by
-        // worker (s % W) in every window. Assignment affects only
-        // wall-clock balance; shard state is thread-confined here and
-        // handed back to the main thread by the done barrier. The
-        // health roll-up reads the shard here, on the thread that
-        // owns it, while its state is still in this core's cache.
-        try {
-            for (std::size_t s = worker_index; s < shards_.size();
-                 s += workers_.size()) {
-                shards_[s]->RunUntil(horizon_);
-                if (merge_this_window_) {
-                    MergeShardWindowMetrics(s);
-                }
-                if (sample_this_window_) {
-                    cluster::HealthTotals& partial = health_partials_[s];
-                    partial = {};
-                    shards_[s]->AddHealthTo(partial);
-                }
-            }
-        } catch (...) {
-            // Capture for Run() to rethrow at the window boundary —
-            // an exception escaping a thread function would terminate
-            // the process. First failure wins; the worker still
-            // arrives at the done barrier so the window completes.
-            core::MutexLock lock(failure_mutex_);
-            if (!failure_) {
-                failure_ = std::current_exception();
-            }
+        StepClaimedShards();
+        // The release hands every shard this helper stepped back to
+        // the calling thread. Only the last helper in needs to wake it.
+        if (checked_in_.fetch_add(1, std::memory_order_release) + 1 ==
+            num_helpers) {
+            checked_in_.notify_one();
         }
-        done_barrier_.arrive_and_wait();
     }
 }
 
 void
-ShardedFleetRunner::MergeShardWindowMetrics(std::size_t shard_index)
+ShardedFleetRunner::StepWindow()
 {
-    cluster::NodeShard& shard = *shards_[shard_index];
-    telemetry::MetricRegistry local;
-    cluster::WriteQueueGauges(telemetry::MetricScope(local, "queue"),
-                              shard.queue().stats());
-    local.SetGauge("num_nodes", static_cast<double>(shard.num_nodes()));
-    local.SetGauge("virtual_seconds",
-                   sim::ToSeconds(shard.queue().Now()));
-    window_metrics_.MergeFrom(local,
-                              "shard" + std::to_string(shard_index));
+    next_shard_.store(0, std::memory_order_relaxed);
+    checked_in_.store(0, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+
+    StepClaimedShards();
+
+    // The window ends only once every helper has checked in, including
+    // one that woke after the shards ran out: a late helper can never
+    // claim from the next window's counter.
+    const auto helpers = static_cast<std::uint32_t>(helpers_.size());
+    for (std::uint32_t in = checked_in_.load(std::memory_order_acquire);
+         in != helpers; in = checked_in_.load(std::memory_order_acquire)) {
+        checked_in_.wait(in, std::memory_order_acquire);
+    }
+
+    std::exception_ptr failure;
+    {
+        core::MutexLock lock(failure_mutex_);
+        failure = std::exchange(failure_, nullptr);
+    }
+    if (failure) {
+        std::rethrow_exception(failure);
+    }
+}
+
+void
+ShardedFleetRunner::StepClaimedShards()
+{
+    // The claim order needs no ordering of its own: a shard changes
+    // threads only across a check-in and a window opening, which carry
+    // the release/acquire edges.
+    try {
+        const auto claim = [this] {
+            return next_shard_.fetch_add(1, std::memory_order_relaxed);
+        };
+        for (std::size_t s = claim(); s < shards_.size(); s = claim()) {
+            // The gauge copy and the health roll-up read the shard on
+            // the thread that just stepped it, while its state is
+            // still in this core's cache.
+            cluster::NodeShard& shard = *shards_[s];
+            shard.RunUntil(horizon_);
+            if (merge_this_window_) {
+                shard_gauges_[s] = {shard.queue().stats(),
+                                    shard.queue().Now()};
+            }
+            if (sample_this_window_) {
+                health_partials_[s] = {};
+                shard.AddHealthTo(health_partials_[s]);
+            }
+        }
+    } catch (...) {
+        // An exception escaping a thread function would terminate the
+        // process. First failure wins; this thread stops claiming and
+        // the others step the remaining shards.
+        core::MutexLock lock(failure_mutex_);
+        if (!failure_) {
+            failure_ = std::current_exception();
+        }
+    }
+}
+
+telemetry::MetricRegistry
+ShardedFleetRunner::WindowMetricsSnapshot() const
+{
+    telemetry::MetricRegistry out;
+    const std::size_t every = config_.metrics_every_n_windows;
+    if (every == 0 || window_index_ < every) {
+        return out;
+    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        telemetry::MetricScope scope(out, "shard" + std::to_string(s));
+        cluster::WriteQueueGauges(scope.Sub("queue"),
+                                  shard_gauges_[s].queue);
+        scope.SetGauge("num_nodes",
+                       static_cast<double>(shards_[s]->num_nodes()));
+        scope.SetGauge("virtual_seconds",
+                       sim::ToSeconds(shard_gauges_[s].now));
+    }
+    return out;
 }
 
 void
 ShardedFleetRunner::Run(sim::Duration span)
 {
-    {
-        core::MutexLock lock(failure_mutex_);
-        if (failed_) {
-            // A previous window rethrew a shard exception: the shards
-            // are at inconsistent virtual times, so continuing would
-            // silently void the determinism guarantee.
-            throw std::logic_error(
-                "ShardedFleetRunner::Run after a shard failure; destroy "
-                "the runner instead");
-        }
+    if (failed_) {
+        throw std::logic_error(
+            "ShardedFleetRunner::Run after a failed window; destroy the "
+            "runner instead");
     }
     const sim::TimePoint end = now_ + span;
-    while (now_ < end) {
-        const sim::TimePoint horizon =
-            std::min(now_ + config_.window, end);
-        horizon_ = horizon;
-        ++window_index_;
-        merge_this_window_ =
-            config_.metrics_every_n_windows != 0 &&
-            window_index_ % config_.metrics_every_n_windows == 0;
-        sample_this_window_ =
-            config_.health != nullptr &&
-            config_.health_every_n_windows != 0 &&
-            window_index_ % config_.health_every_n_windows == 0;
-        start_barrier_.arrive_and_wait();
-        done_barrier_.arrive_and_wait();
-        // Workers are parked at the start barrier again, so the lock
-        // is uncontended; the barrier already ordered their writes
-        // before our read.
-        std::exception_ptr failure;
-        {
-            core::MutexLock lock(failure_mutex_);
-            if (failure_) {
-                failure = failure_;
-                failure_ = nullptr;
-                failed_ = true;
+    try {
+        while (now_ < end) {
+            const sim::TimePoint horizon =
+                std::min(now_ + config_.window, end);
+            horizon_ = horizon;
+            ++window_index_;
+            merge_this_window_ =
+                config_.metrics_every_n_windows != 0 &&
+                window_index_ % config_.metrics_every_n_windows == 0;
+            sample_this_window_ =
+                config_.health != nullptr &&
+                config_.health_every_n_windows != 0 &&
+                window_index_ % config_.health_every_n_windows == 0;
+            StepWindow();
+            if (fleet_trace_ != nullptr) {
+                // One span per window, in virtual time: the same bytes
+                // for any thread count.
+                fleet_trace_->Complete(
+                    "window", "fleet", now_, horizon - now_,
+                    {{"window", static_cast<std::int64_t>(window_index_)},
+                     {"merge", merge_this_window_ ? 1 : 0}});
+            }
+            now_ = horizon;
+            if (sample_this_window_) {
+                SampleFleetHealth(horizon);
             }
         }
-        if (failure) {
-            std::rethrow_exception(failure);
-        }
-        if (fleet_trace_ != nullptr) {
-            // One span per barrier-synced window, in virtual time: the
-            // same bytes for any thread count.
-            fleet_trace_->Complete(
-                "window", "fleet", now_, horizon - now_,
-                {{"window", static_cast<std::int64_t>(window_index_)},
-                 {"merge", merge_this_window_ ? 1 : 0}});
-        }
-        if (sample_this_window_) {
-            SampleFleetHealth(horizon);
-        }
-        now_ = horizon;
+    } catch (...) {
+        // A shard failure leaves the shards at mixed horizons, and a
+        // failed sample leaves the window's fleet.* samples half
+        // appended; continuing would silently void the determinism
+        // guarantee or re-append them.
+        failed_ = true;
+        throw;
     }
 }
 
 void
 ShardedFleetRunner::SampleFleetHealth(sim::TimePoint at)
 {
-    // The workers rolled every shard up at this horizon, right after
-    // stepping it (WorkerMain), and are parked now, so folding their
-    // partials is race-free. Everything appended is an integer derived
-    // from deterministic per-node state at a barrier-synced virtual
+    // Every shard was rolled up at this horizon right after it was
+    // stepped (StepShard), and the helpers are parked now, so folding
+    // the partials is race-free. Everything appended is an integer
+    // derived from deterministic per-node state at a window's virtual
     // horizon, and the fold is exact integer sums and bucket-wise
     // histogram adds in shard order — identical across repeat runs and
     // thread counts by the same argument as fleet_trace_hash.
@@ -382,7 +411,7 @@ ShardedFleetRunner::CollectFleetMetrics(telemetry::MetricRegistry& out)
                              QueueStats());
     telemetry::MetricScope scope(out, "fleet");
     scope.SetGauge("num_shards", static_cast<double>(shards_.size()));
-    scope.SetGauge("num_threads", static_cast<double>(workers_.size()));
+    scope.SetGauge("num_threads", static_cast<double>(num_threads()));
 
     // Fleet-wide epoch-duration distribution (virtual ns): the merge is
     // bucket-wise addition, so the result is exact and independent of

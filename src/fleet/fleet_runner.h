@@ -13,16 +13,18 @@
  *    hash, and a contiguous slice of the fleet's nodes. Every node
  *    keeps the per-global-index splitmix64 RNG stream and start
  *    stagger it would have had in the serial driver.
- *  - W worker threads step the shards between barrier-synced
- *    virtual-time windows: every window, each worker advances its
- *    statically assigned shards to the shared horizon, merges its
- *    shards' health gauges into a telemetry::SharedMetricRegistry,
- *    and meets the others at the barrier before the next window opens.
+ *  - Fork-join virtual-time windows: the thread that calls Run steps
+ *    shards itself beside W - 1 helper threads. Every window, each
+ *    thread claims the next unstepped shard from a shared counter,
+ *    advances it to the window's horizon, and on merge or sample
+ *    windows copies the shard's queue gauges and health roll-up into
+ *    that shard's own slot. The window closes once every helper has
+ *    checked in; the calling thread then samples fleet health.
  *  - Determinism: fleet nodes never exchange events (per-node RNG
  *    streams make them statistically independent), so a shard's event
  *    trace depends only on (base_seed, shard composition, window
  *    horizons) — never on which thread stepped it, in what order, or
- *    how many worker threads exist. Shard composition is fixed by
+ *    how many threads exist. Shard composition is fixed by
  *    `num_shards` (a *simulation* parameter), while `num_threads` is
  *    pure execution policy: any thread count replays byte-identical
  *    per-shard traces, verified by combining per-shard trace_hash()
@@ -34,7 +36,7 @@
  */
 #pragma once
 
-#include <barrier>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -67,9 +69,10 @@ struct FleetConfig {
     std::size_t num_shards = 0;
 
     /**
-     * Worker threads stepping the shards (0 = one per shard, capped at
-     * hardware concurrency). Pure execution policy: never affects
-     * simulation results, only wall-clock speed.
+     * Threads stepping the shards, counting the thread that calls Run
+     * (0 = one per shard, capped at hardware concurrency; 1 starts no
+     * helper thread). Pure execution policy: never affects simulation
+     * results, only wall-clock speed.
      */
     std::size_t num_threads = 0;
 
@@ -77,10 +80,12 @@ struct FleetConfig {
     std::uint64_t base_seed = 1;
 
     /**
-     * Virtual-time window between barriers. All shards advance to the
-     * same horizon each window; window boundaries are also where
-     * telemetry merges happen. Smaller windows tighten fleet-wide
-     * metric freshness; larger ones amortize barrier cost.
+     * Virtual-time window between fleet synchronization points. All
+     * shards advance to the same horizon each window; window boundaries
+     * are also where gauges merge and health is sampled. Smaller
+     * windows tighten fleet-wide metric freshness; larger ones amortize
+     * the fixed per-window cost (waking the helpers, waiting for the
+     * last shard, the health sample).
      */
     sim::Duration window = sim::Millis(100);
 
@@ -92,17 +97,19 @@ struct FleetConfig {
     std::size_t queue_pending_limit = 0;
 
     /**
-     * Merge per-shard health gauges ("shard3.queue.executed", ...)
-     * into window_metrics() every Nth window boundary (0 = never).
-     * This is the concurrent-merge path: all workers aggregate into
-     * one SharedMetricRegistry at the same boundary.
+     * Record per-shard queue gauges for WindowMetricsSnapshot() every
+     * Nth window boundary (0 = never). The thread that steps a shard
+     * copies its queue counters and virtual time into the shard's
+     * slot — no string, no lock, no allocation per shard per window;
+     * the "shard3.queue.executed"-style names are built only when a
+     * snapshot is taken.
      */
     std::size_t metrics_every_n_windows = 1;
 
     /**
      * Flight-recorder session for the whole run (null disables
-     * tracing). The runner creates one "fleet" track for window-barrier
-     * events plus one track per shard (see NodeShardConfig); creation
+     * tracing). The runner creates one "fleet" track for window events
+     * plus one track per shard (see NodeShardConfig); creation
      * order (fleet first, shards by index) is fixed, so the serialized
      * trace is byte-deterministic for a fixed (base_seed, num_shards,
      * window schedule) regardless of thread count. The caller owns the
@@ -116,15 +123,15 @@ struct FleetConfig {
     std::size_t trace_capacity = 4096;
 
     /**
-     * Health timeline store sampled at window barriers (null disables).
-     * On every `health_every_n_windows`-th window, each worker rolls up
-     * every shard it owns right after stepping it (cluster::
-     * HealthTotals: runtime counters, merged epoch histogram, arbiter
-     * requests/denials, agent count). At the barrier the main thread
-     * folds those per-shard partials in shard order and appends the
-     * fleet's health counters, error-budget denominators, and the
-     * merged epoch-latency percentiles as "fleet.*" series at the
-     * window's virtual horizon. The partials are exact integer sums and
+     * Health timeline store sampled at window boundaries (null
+     * disables). On every `health_every_n_windows`-th window, the
+     * thread that steps a shard rolls it up right after stepping it
+     * (cluster::HealthTotals: runtime counters, merged epoch histogram,
+     * arbiter requests/denials, agent count). Once the window closes,
+     * the calling thread folds those per-shard partials in shard order
+     * and appends the fleet's health counters, error-budget
+     * denominators, and the merged epoch-latency percentiles as
+     * "fleet.*" series at the window's virtual horizon. The partials are exact integer sums and
      * bucket-wise histogram adds, so the samples are byte-identical for
      * any thread count. Sampling is observe-only: it schedules no
      * events and mutates no sampled state, so enabling it leaves
@@ -150,13 +157,14 @@ struct FleetConfig {
     cluster::MultiAgentNodeConfig node;
 };
 
-/** Steps N MultiAgentNodes across W worker threads in S shards. */
+/** Steps N MultiAgentNodes in S shards on W threads, the caller's
+ *  included. */
 class ShardedFleetRunner
 {
   public:
     explicit ShardedFleetRunner(const FleetConfig& config);
 
-    /** Joins the worker pool. Outstanding shard state is destroyed
+    /** Joins the helper threads. Outstanding shard state is destroyed
      *  with the runner; call Stop() first for a clean agent shutdown. */
     ~ShardedFleetRunner();
 
@@ -164,18 +172,21 @@ class ShardedFleetRunner
     ShardedFleetRunner& operator=(const ShardedFleetRunner&) = delete;
 
     /**
-     * Advances every shard by `span` of virtual time, one barrier-
-     * synced window at a time. Blocks until all shards reach the final
-     * horizon. The first window schedules every node's staggered
-     * start. Like every other mutating call, must not be invoked
-     * concurrently with itself.
+     * Advances every shard by `span` of virtual time, one fork-join
+     * window at a time: the calling thread steps shards beside the
+     * helpers and returns once all shards reach the final horizon. The
+     * first window schedules every node's staggered start. Like every
+     * other mutating call, must not be invoked concurrently with
+     * itself.
      *
      * An exception thrown inside a shard (agent callback, allocation
-     * failure) is captured on the worker and rethrown here at that
-     * window's boundary — the same propagation ClusterDriver::Run
-     * gives, instead of std::terminate. After such a throw the fleet's
-     * shards are at mixed horizons; destroy the runner rather than
-     * calling Run again.
+     * failure), on a helper or on the calling thread, is captured and
+     * rethrown here once every thread has finished the window — the
+     * same propagation ClusterDriver::Run gives, instead of
+     * std::terminate. Any exception that escapes a window, a failed
+     * health sample's included, poisons the runner: the shards may be
+     * at mixed horizons or the timeline half-appended, so every later
+     * Run throws std::logic_error. Destroy the runner instead.
      */
     void Run(sim::Duration span);
 
@@ -223,82 +234,104 @@ class ShardedFleetRunner
      */
     void CollectFleetMetrics(telemetry::MetricRegistry& out);
 
-    /** Snapshot of the shard health gauges merged concurrently at
-     *  window boundaries (see FleetConfig::metrics_every_n_windows). */
-    telemetry::MetricRegistry WindowMetricsSnapshot() const
-    {
-        return window_metrics_.Snapshot();
-    }
+    /**
+     * Every shard's queue gauges as of the last merge window (see
+     * FleetConfig::metrics_every_n_windows): "shard<s>.queue.*" as
+     * cluster::WriteQueueGauges spells them, "shard<s>.num_nodes" and
+     * "shard<s>.virtual_seconds". Empty before the first merge window
+     * and when merges are off. Call between Run calls.
+     */
+    telemetry::MetricRegistry WindowMetricsSnapshot() const;
 
     std::size_t num_nodes() const { return config_.num_nodes; }
     std::size_t num_shards() const { return shards_.size(); }
-    std::size_t num_threads() const { return workers_.size(); }
+    /** Threads stepping shards: the helpers plus the calling thread. */
+    std::size_t num_threads() const { return helpers_.size() + 1; }
     cluster::NodeShard& shard(std::size_t i) { return *shards_[i]; }
 
     /** Node by global fleet index. */
     cluster::MultiAgentNode& node(std::size_t global_index);
 
   private:
-    /** Config-derived sizing, computed once (barrier participant
-     *  counts and the worker pool must never disagree). */
-    struct Resolved {
-        std::size_t num_shards;
-        std::size_t num_threads;
+    /** One shard's queue counters and virtual time, copied by the
+     *  thread that stepped it at the last merge window. */
+    struct ShardGauges {
+        sim::EventQueueStats queue;
+        sim::TimePoint now{0};
     };
-    static Resolved Resolve(const FleetConfig& config);
 
-    ShardedFleetRunner(const FleetConfig& config, Resolved resolved);
+    /** Helper thread body: parks on generation_, steps claimed shards
+     *  in every window it is woken for, then checks in (the last of
+     *  `num_helpers` to check in wakes the calling thread). */
+    void HelperMain(std::uint32_t num_helpers);
 
-    void WorkerMain(std::size_t worker_index);
+    /** Opens the window to horizon_, steps claimed shards on the
+     *  calling thread, waits until every helper has checked in, and
+     *  rethrows the window's first shard exception. */
+    void StepWindow();
 
-    /** Merges one shard's health gauges into window_metrics_. */
-    void MergeShardWindowMetrics(std::size_t shard_index);
+    /** Claims the next unstepped shard and steps it to horizon_ until
+     *  this window's shards run out, copying each shard's gauges and
+     *  health roll-up into its slots when the window asks for them.
+     *  The first exception on any thread is captured into failure_ for
+     *  StepWindow to rethrow. */
+    void StepClaimedShards();
 
-    /** Folds the per-shard health partials the workers rolled up this
-     *  window, appends the fleet's "fleet.*" health series at `at`, and
-     *  runs the alert rules. Main thread only, workers parked. */
+    /** Tells the helpers to exit and joins them. */
+    void JoinHelpers();
+
+    /** Folds the per-shard health partials rolled up this window,
+     *  appends the fleet's "fleet.*" health series at `at`, and runs
+     *  the alert rules. Calling thread only, helpers parked. */
     void SampleFleetHealth(sim::TimePoint at);
 
     FleetConfig config_;
-    /** Fleet-level track for window-barrier events; owned by
-     *  config_.trace (null when tracing is disabled). Written only by
-     *  the main thread between barriers. */
+    /** Fleet-level track for window events; owned by config_.trace
+     *  (null when tracing is disabled). Written only by the calling
+     *  thread between windows. */
     telemetry::trace::TraceRecorder* fleet_trace_ = nullptr;
     std::vector<std::unique_ptr<cluster::NodeShard>> shards_;
 
-    // Window protocol state. Written by the main thread before the
-    // start barrier, read by workers after it; the barriers order all
-    // access (no atomics needed beyond shutdown_'s lifetime role).
+    // Window protocol state. The calling thread writes it before it
+    // opens a window (generation_'s release increment) and the helpers
+    // read it after acquiring that increment; nothing here is written
+    // again before every helper has checked in (checked_in_'s
+    // release/acquire), so none of it needs to be atomic.
     sim::TimePoint now_{0};
     sim::TimePoint horizon_{0};
     std::uint64_t window_index_ = 0;
     bool merge_this_window_ = false;
     /** Whether this window ends in a health sample: decided once per
-     *  window, so the workers' roll-ups and SampleFleetHealth agree. */
+     *  window, so the shard roll-ups and SampleFleetHealth agree. */
     bool sample_this_window_ = false;
     bool shutdown_ = false;
+    /** Set when an exception escapes a window; calling thread only. */
+    bool failed_ = false;
 
-    telemetry::SharedMetricRegistry window_metrics_;
+    /** One gauge slot per shard, written by whichever thread steps the
+     *  shard on merge windows. Empty unless
+     *  config_.metrics_every_n_windows is set. */
+    std::vector<ShardGauges> shard_gauges_;
 
-    /** One health roll-up per shard, written by the shard's worker on
-     *  sampled windows and read by the main thread after the done
-     *  barrier (the barrier orders the hand-off). Empty unless
-     *  config_.health is set. */
+    /** One health roll-up per shard, written by whichever thread steps
+     *  the shard on sampled windows. Empty unless config_.health is
+     *  set. */
     std::vector<cluster::HealthTotals> health_partials_;
 
-    // First exception raised inside any shard this window; rethrown by
-    // Run() at the window boundary. Once that happens the shards are at
-    // mixed horizons and `failed_` poisons every further Run(). The
-    // barriers already order the workers' writes before Run()'s reads,
-    // but Run() takes the (uncontended) lock anyway so the guarded-by
-    // discipline holds everywhere.
+    /** Incremented to open each window (and once to shut down);
+     *  parked helpers wait on it. */
+    std::atomic<std::uint32_t> generation_{0};
+    /** Index of the next shard to claim in the open window. */
+    std::atomic<std::size_t> next_shard_{0};
+    /** Helpers done with the open window. */
+    std::atomic<std::uint32_t> checked_in_{0};
+
+    // First exception raised inside any shard this window; StepWindow
+    // rethrows it once every helper has checked in.
     core::Mutex failure_mutex_;
     std::exception_ptr failure_ SOL_GUARDED_BY(failure_mutex_);
-    bool failed_ SOL_GUARDED_BY(failure_mutex_) = false;
 
-    std::barrier<> start_barrier_;
-    std::barrier<> done_barrier_;
-    std::vector<std::thread> workers_;
+    std::vector<std::thread> helpers_;
 };
 
 }  // namespace sol::fleet

@@ -14,8 +14,8 @@
  * on it, and the liveness tokens those continuations carry — is only
  * touched by the one thread stepping that shard. A shard may move to
  * another thread between windows, but every such hand-off is ordered by
- * a happens-before edge (the fleet's window barriers, a thread join, a
- * mutex). ConfinedShared relies on exactly that: all copies of one
+ * a happens-before edge (the fleet window's release/acquire check-in
+ * and opening, a thread join, a mutex). ConfinedShared relies on exactly that: all copies of one
  * pointer may be created, copied and destroyed on one thread at a time,
  * never concurrently. Sharing one across threads without such an edge
  * is a data race, which ThreadSanitizer reports.

@@ -25,7 +25,8 @@
  *
  * Thread confinement: a queue, its handles and the continuations on it
  * belong to one thread at a time — the thread stepping the owning shard
- * between fleet barriers (sim/confined_shared.h states the contract).
+ * in the current fleet window (sim/confined_shared.h states the
+ * contract).
  */
 #pragma once
 

@@ -199,7 +199,7 @@ std::vector<AlertRule>
 DefaultFleetAlertRules()
 {
     // Series names below are what ShardedFleetRunner::SampleFleetHealth
-    // appends at each window barrier. Rules are ratio/burn shaped where
+    // appends at each window boundary. Rules are ratio/burn shaped where
     // possible so one pack works across smoke and full fleet shapes;
     // thresholds are documented (with their measured steady-state
     // margins) in docs/OBSERVABILITY.md.

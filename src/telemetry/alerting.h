@@ -179,7 +179,7 @@ class AlertEngine
 /**
  * The standing fleet SLO/alert pack (docs/OBSERVABILITY.md documents
  * every rule and threshold). Series names match what
- * fleet::ShardedFleetRunner samples at its window barriers.
+ * fleet::ShardedFleetRunner samples at its window boundaries.
  */
 std::vector<AlertRule> DefaultFleetAlertRules();
 

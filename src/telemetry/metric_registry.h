@@ -11,8 +11,8 @@
  *
  * A MetricRegistry is single-threaded by design: every hot-path writer
  * owns its registry exclusively and snapshots flow upward through
- * MergeFrom at collection points (SharedMetricRegistry adds the one
- * lock the sharded fleet needs at window barriers). Lookups of unknown
+ * MergeFrom at collection points (SharedMetricRegistry adds one lock
+ * for concurrent producers). Lookups of unknown
  * names are non-mutating and well-defined: Counter/Gauge return 0,
  * Series returns an empty vector, Histogram returns an empty
  * histogram; use HasCounter/HasGauge/HasSeries/HasHistogram to
@@ -156,12 +156,13 @@ class MetricRegistry
  * producers.
  *
  * MetricRegistry itself is single-threaded by design (every hot-path
- * writer owns its registry exclusively). A sharded fleet run breaks
- * that assumption exactly once per virtual-time window: W worker
- * threads finish their shards at a barrier and each merges its shards'
- * metrics into one fleet-wide aggregate. SharedMetricRegistry is that
- * aggregation point — writers pay the lock only at window boundaries,
- * never per event, and readers take a consistent snapshot by value.
+ * writer owns its registry exclusively). When several threads must
+ * merge their metrics into one aggregate, SharedMetricRegistry is that
+ * aggregation point — writers pay the lock once per merge, never per
+ * event, and readers take a consistent snapshot by value. (The sharded
+ * fleet no longer merges through it: each shard's stepping thread
+ * copies its gauges into a per-shard slot, see
+ * fleet::ShardedFleetRunner::WindowMetricsSnapshot.)
  *
  * Merge order across threads is not deterministic, so only
  * order-insensitive operations are exposed: counter merges add,

@@ -14,7 +14,7 @@
  * standing invariants:
  *
  *  - Deterministic: samples are taken at virtual-time boundaries the
- *    simulation already synchronizes on (fleet window barriers, node
+ *    simulation already synchronizes on (fleet window boundaries, node
  *    driver ticks), carry virtual timestamps, and store integer
  *    values only (gauges are scaled to fixed-point milli-units at the
  *    sampling boundary). A scenario's full timeline — every series,
@@ -119,8 +119,9 @@ class TimeSeries
  * Named collection of TimeSeries sharing one per-series capacity.
  *
  * Single-threaded by design, like MetricRegistry: the sampling
- * boundary that writes it is always a single logical thread (the fleet
- * runner's main thread between barriers, a node's driver). Use
+ * boundary that writes it is always a single logical thread (the
+ * thread calling the fleet runner's Run, between windows; a node's
+ * driver). Use
  * SharedTimeSeriesStore when a live thread (a scrape handler) must
  * read while a driver samples.
  */

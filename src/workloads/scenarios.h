@@ -91,7 +91,7 @@ struct ScenarioOptions {
     /** True runs the smoke shape (the committed-baseline mode). */
     bool smoke = false;
     /** Sample fleet health timelines and evaluate the default alert
-     *  pack at every window barrier. Observe-only: the fleet trace
+     *  pack at every window boundary. Observe-only: the fleet trace
      *  hash and behavior vector are identical either way. */
     bool health = true;
 };

@@ -3,20 +3,26 @@
  * Tests for the sharded parallel fleet executor: bit-determinism
  * across thread counts, shard-partition edge cases (empty shard,
  * single-node shard), mid-run node drain, heterogeneous synthetic
- * schedules, and the concurrent window-boundary metric merge (this
- * suite runs under TSan in CI — see .github/workflows/ci.yml).
+ * schedules, the window-boundary shard gauges, and the failure modes
+ * of a window (this suite runs under TSan in CI, the runner's cases
+ * 20x — see .github/workflows/ci.yml).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
+#include "cluster/cluster_driver.h"
 #include "cluster/node_shard.h"
 #include "cluster/synthetic_agent.h"
 #include "fleet/fleet_runner.h"
 #include "telemetry/metric_registry.h"
+#include "telemetry/timeseries.h"
 
 namespace sol {
 namespace {
@@ -259,6 +265,108 @@ TEST(ShardedFleetRunner, ConcurrentWindowMergePopulatesShardGauges)
         EXPECT_EQ(metrics.Gauge(prefix + ".num_nodes"), 1.0) << prefix;
     }
     runner.Stop();
+}
+
+TEST(ShardedFleetRunner, WindowMetricsSnapshotHoldsTheLastMergedWindow)
+{
+    FleetConfig config = SmallFleet(3, 2);
+    config.metrics_every_n_windows = 2;
+    ShardedFleetRunner runner(config);
+    runner.Run(sim::Millis(100));  // Windows 1 and 2; 2 merges.
+
+    const telemetry::MetricRegistry merged = runner.WindowMetricsSnapshot();
+    std::size_t expected_gauges = 0;
+    for (std::size_t s = 0; s < runner.num_shards(); ++s) {
+        const std::string prefix = "shard" + std::to_string(s) + ".";
+        telemetry::MetricRegistry expected;
+        cluster::WriteQueueGauges(telemetry::MetricScope(expected, "queue"),
+                                  runner.shard(s).queue().stats());
+        for (const auto& [name, value] : expected.gauges()) {
+            EXPECT_EQ(merged.Gauge(prefix + name), value) << prefix + name;
+        }
+        EXPECT_GT(merged.Gauge(prefix + "queue.executed"), 0.0) << prefix;
+        EXPECT_EQ(merged.Gauge(prefix + "num_nodes"), 1.0) << prefix;
+        EXPECT_EQ(merged.Gauge(prefix + "virtual_seconds"), 0.1) << prefix;
+        expected_gauges += expected.gauges().size() + 2;
+    }
+    EXPECT_EQ(merged.gauges().size(), expected_gauges);
+    EXPECT_TRUE(merged.counters().empty());
+    EXPECT_TRUE(merged.histograms().empty());
+
+    // Window 3 is not a merge window: the shards move on, the snapshot
+    // does not.
+    runner.Run(sim::Millis(50));
+    EXPECT_GT(static_cast<double>(runner.shard(0).queue().executed()),
+              merged.Gauge("shard0.queue.executed"));
+    EXPECT_EQ(runner.WindowMetricsSnapshot().gauges(), merged.gauges());
+    runner.Stop();
+
+    config.metrics_every_n_windows = 0;
+    ShardedFleetRunner off(config);
+    off.Run(sim::Millis(100));
+    const telemetry::MetricRegistry none = off.WindowMetricsSnapshot();
+    EXPECT_TRUE(none.gauges().empty());
+    EXPECT_TRUE(none.counters().empty());
+    EXPECT_TRUE(none.histograms().empty());
+    off.Stop();
+}
+
+// ---- Failure modes ---------------------------------------------------------
+
+/** Runs `run` and expects exactly std::logic_error, the poisoned-runner
+ *  error (std::invalid_argument derives from it, so EXPECT_THROW with
+ *  std::logic_error would also accept a second shard failure). */
+template <typename Fn>
+void
+ExpectPoisoned(Fn run)
+{
+    try {
+        run();
+        ADD_FAILURE() << "Run returned on a poisoned runner";
+    } catch (const std::logic_error& e) {
+        EXPECT_EQ(typeid(e), typeid(std::logic_error)) << e.what();
+    }
+}
+
+TEST(ShardedFleetRunner, ShardExceptionRethrowsAndPoisonsTheRunner)
+{
+    // With node health on and a zero period, every node's Start()
+    // throws: node 0 inside RunUntil itself, the others from a start
+    // event on their shard's queue.
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        telemetry::SharedTimeSeriesStore node_health;
+        FleetConfig config = SmallFleet(4, threads);
+        config.node.health = &node_health;
+        config.node.health_period = sim::Duration::zero();
+        ShardedFleetRunner runner(config);
+        EXPECT_EQ(runner.num_threads(), threads);
+        EXPECT_THROW(runner.Run(sim::Millis(100)), std::invalid_argument);
+        ExpectPoisoned([&runner] { runner.Run(sim::Millis(100)); });
+        // The destructor must still return: every helper thread is
+        // parked between windows.
+    }
+}
+
+TEST(ShardedFleetRunner, HealthSampleExceptionPoisonsTheRunner)
+{
+    // A store that already holds fleet.epochs at 10 s rejects the
+    // window's sample at 50 ms, after the shards reached 50 ms.
+    telemetry::TimeSeriesStore health;
+    health.Append("fleet.epochs", sim::Seconds(10), 0);
+    FleetConfig config = SmallFleet(2, 2);
+    config.health = &health;
+    ShardedFleetRunner runner(config);
+    EXPECT_THROW(runner.Run(sim::Millis(50)), std::invalid_argument);
+    EXPECT_EQ(runner.shard(0).queue().Now(), sim::Millis(50));
+    EXPECT_EQ(runner.Now(), sim::Millis(50));
+
+    // The failed window is not re-sampled: the next Run throws before
+    // it appends anything.
+    const std::uint64_t appended = health.total_appended();
+    ExpectPoisoned([&runner] { runner.Run(sim::Millis(50)); });
+    EXPECT_EQ(health.total_appended(), appended);
+    EXPECT_EQ(runner.Now(), sim::Millis(50));
 }
 
 TEST(ShardedFleetRunner, CollectFleetMetricsAggregatesAcrossShards)

@@ -11,8 +11,8 @@
  *      scaling, a timeline fingerprint that equal timelines share.
  *   3. AlertEngine — threshold/rate/burn conditions, hold timers,
  *      firing/resolved edges with observed values, SLO budgets.
- *   4. Fleet integration — window-barrier sampling is byte-identical
- *      across repeat runs and 1/2/8 worker threads, and observe-only
+ *   4. Fleet integration — window-boundary sampling is byte-identical
+ *      across repeat runs and 1/2/8 fleet threads, and observe-only
  *      (enabling it leaves the fleet trace hash untouched). Both node
  *      backends reject a non-positive sampling period.
  *   5. SharedTimeSeriesStore under concurrent producers/scrapers (the

@@ -12,7 +12,8 @@
  * the engine's fixed ring, allocated when the runtime was built. The
  * wrappers also sum the bytes requested, which bounds what one
  * fleet-shaped node allocates while it is built: the fleet pays it once
- * per node.
+ * per node. A fleet runner's window-boundary gauge merge allocates
+ * nothing either.
  */
 #include <gtest/gtest.h>
 
@@ -26,12 +27,14 @@
 
 #include "cluster/multi_agent_node.h"
 #include "core/sim_runtime.h"
+#include "fleet/fleet_runner.h"
 #include "ml/cost_sensitive.h"
 #include "sim/event_queue.h"
 
 namespace {
 
-// Tests run on one thread; nothing else allocates while a count is read.
+// Tests allocate on one thread (a one-thread fleet runner starts no
+// helper); nothing else allocates while a count is read.
 std::uint64_t g_allocations = 0;
 std::uint64_t g_allocated_bytes = 0;
 
@@ -219,6 +222,38 @@ TEST(HotPathTest, ClassifierStopsAllocatingOnceItsIndicesAreSeen)
     }
     EXPECT_EQ(g_allocations - allocations, 0u);
     EXPECT_GT(predicted, 0u);
+}
+
+TEST(HotPathTest, FleetWindowGaugeMergeDoesNotAllocate)
+{
+    // Two identical one-thread fleets, one merging its shard gauges at
+    // every window boundary and one never: the simulation allocates
+    // the same in both, so a difference in a window is the merge's own.
+    const auto fleet_config = [](std::size_t metrics_every_n_windows) {
+        fleet::FleetConfig config;
+        config.num_nodes = 2;
+        config.num_threads = 1;
+        config.window = Millis(50);
+        config.node.synthetic_agents = 4;
+        config.metrics_every_n_windows = metrics_every_n_windows;
+        return config;
+    };
+    fleet::ShardedFleetRunner merging(fleet_config(1));
+    fleet::ShardedFleetRunner quiet(fleet_config(0));
+    const auto window_allocations = [](fleet::ShardedFleetRunner& runner) {
+        const std::uint64_t allocations = g_allocations;
+        runner.Run(Millis(50));
+        return g_allocations - allocations;
+    };
+    merging.Run(Seconds(2));
+    quiet.Run(Seconds(2));
+
+    EXPECT_EQ(window_allocations(merging), window_allocations(quiet));
+    EXPECT_EQ(merging.fleet_trace_hash(), quiet.fleet_trace_hash());
+    EXPECT_EQ(merging.WindowMetricsSnapshot().Gauge("shard1.virtual_seconds"),
+              2.05);
+    merging.Stop();
+    quiet.Stop();
 }
 
 TEST(HotPathTest, FleetShapedNodeBuildsWithinOneMebibyte)

@@ -459,7 +459,7 @@ TEST(TraceDeterminismTest, FleetTraceBytesInvariantAcrossThreadCounts)
     const std::string serial = FleetTraceBytes(1);
     const std::string wide = FleetTraceBytes(2);
     EXPECT_GT(serial.size(), 1'000u);
-    // The fleet track records every window barrier; shard tracks carry
+    // The fleet track records every window; shard tracks carry
     // the per-node engine spans.
     EXPECT_NE(serial.find(R"("name":"fleet")"), std::string::npos);
     EXPECT_NE(serial.find(R"("name":"window")"), std::string::npos);

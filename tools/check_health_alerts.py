@@ -2,7 +2,7 @@
 """Diff HEALTH_scenario_*.json health timelines against golden baselines.
 
 bench/scenario_suite samples every scenario's fleet health timeline at
-each 100ms window barrier and evaluates the default SLO/alert pack
+each 100ms window boundary and evaluates the default SLO/alert pack
 (telemetry::DefaultFleetAlertRules) at each sample. The resulting
 HEALTH_scenario_<name>.json — timeline hash, per-series sample summary,
 the full virtual-timestamped alert transition log, and per-SLO budget
