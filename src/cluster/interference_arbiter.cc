@@ -98,7 +98,8 @@ InterferenceArbiter::AccountFor(const std::string& agent)
     core::WriterLock write(accounts_mutex_);
     auto& slot = accounts_[agent];
     if (!slot) {
-        slot = std::make_unique<AgentAccount>();
+        slot = std::make_unique<AgentAccount>(accounts_.size() - 1);
+        num_accounts_.store(accounts_.size());
     }
     return *slot;
 }
@@ -190,7 +191,12 @@ InterferenceArbiter::ExpandUnderClosure(const core::ActuationRequest& request,
         conflicts_observed_.fetch_add(1, std::memory_order_relaxed);
         {
             core::MutexLock lock(account.denial_mutex);
-            ++account.denied_by[blocking->agent];
+            if (blocking->agent_id >= account.denied_by.size()) {
+                // The holder's account was created before its hold was
+                // taken, so the count read here already includes it.
+                account.denied_by.resize(num_accounts_.load());
+            }
+            ++account.denied_by[blocking->agent_id];
         }
         if (config_.enabled) {
             conflicts_resolved_.fetch_add(1, std::memory_order_relaxed);
@@ -203,7 +209,7 @@ InterferenceArbiter::ExpandUnderClosure(const core::ActuationRequest& request,
     if (decision.admitted) {
         auto& hold = domains_[DomainIndex(request.domain)].hold;
         if (!hold.has_value() || hold->agent != request.agent) {
-            hold = Hold{request.agent, request.magnitude, 0};
+            hold = Hold{request.agent, account.id, request.magnitude, 0};
         }
         hold->magnitude = request.magnitude;
         ++hold->admissions;
@@ -231,6 +237,10 @@ void
 InterferenceArbiter::WriteMetrics()
 {
     core::ReaderLock read(accounts_mutex_);
+    std::vector<const std::string*> names(accounts_.size());
+    for (const auto& [agent, account] : accounts_) {
+        names[account->id] = &agent;
+    }
     std::uint64_t conflicts = 0;
     for (auto& [agent, account] : accounts_) {
         scope_.SetCounter(
@@ -246,10 +256,14 @@ InterferenceArbiter::WriteMetrics()
             agent + ".restores",
             account->restores.load(std::memory_order_relaxed));
         core::MutexLock lock(account->denial_mutex);
-        for (const auto& [holder, count] : account->denied_by) {
-            scope_.SetCounter("denial." + agent + ".by." + holder,
-                              count);
-            conflicts += count;
+        for (std::size_t holder = 0; holder < account->denied_by.size();
+             ++holder) {
+            const std::uint64_t count = account->denied_by[holder];
+            if (count != 0) {
+                scope_.SetCounter(
+                    "denial." + agent + ".by." + *names[holder], count);
+                conflicts += count;
+            }
         }
     }
     scope_.SetCounter("conflicts", conflicts);

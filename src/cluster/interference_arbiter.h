@@ -187,6 +187,7 @@ class InterferenceArbiter : public core::ActuationGovernor
   private:
     struct Hold {
         std::string agent;
+        std::size_t agent_id = 0;  ///< The holder's AgentAccount::id.
         double magnitude = 0.0;
         std::uint64_t admissions = 0;  ///< Times taken or refreshed.
     };
@@ -199,14 +200,22 @@ class InterferenceArbiter : public core::ActuationGovernor
 
     /** Lock-free per-agent accounting block. */
     struct AgentAccount {
+        explicit AgentAccount(std::size_t account_id) : id(account_id) {}
+
+        /** Dense id, in creation order: indexes other accounts'
+         *  denied_by and names a Hold's holder. */
+        const std::size_t id;
         std::atomic<std::uint64_t> requests{0};
         std::atomic<std::uint64_t> admitted{0};
         std::atomic<std::uint64_t> denied{0};
         std::atomic<std::uint64_t> restores{0};
-        /** Denial attribution is rare; a plain guarded map suffices. */
+        /** Denial attribution is rare, so a plain guarded vector
+         *  suffices: denied_by[h] counts this agent's expands denied by
+         *  the holder with id h. Sized to every account that exists at
+         *  the first denial, so a denial allocates only when its holder
+         *  is newer than that. */
         core::Mutex denial_mutex;
-        std::map<std::string, std::uint64_t> denied_by
-            SOL_GUARDED_BY(denial_mutex);
+        std::vector<std::uint64_t> denied_by SOL_GUARDED_BY(denial_mutex);
     };
 
     /** Rank in the priority list; lower is more important. */
@@ -253,6 +262,9 @@ class InterferenceArbiter : public core::ActuationGovernor
     mutable core::SharedMutex accounts_mutex_;
     std::map<std::string, std::unique_ptr<AgentAccount>> accounts_
         SOL_GUARDED_BY(accounts_mutex_);
+    /** accounts_.size(), readable without accounts_mutex_ (denials
+     *  size denied_by from it under the domain locks). */
+    std::atomic<std::size_t> num_accounts_{0};
 
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> conflicts_observed_{0};

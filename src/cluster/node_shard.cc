@@ -28,6 +28,16 @@ HealthTotals::Accumulate(const HealthTotals& other)
     agents += other.agents;
 }
 
+void
+HealthTotals::Reset()
+{
+    stats = {};
+    epochs.Reset();
+    arbiter_requests = 0;
+    arbiter_denied = 0;
+    agents = 0;
+}
+
 NodeShard::NodeShard(const NodeShardConfig& config)
     : config_(config)
 {

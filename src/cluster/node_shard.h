@@ -66,6 +66,10 @@ struct HealthTotals {
 
     /** Adds another group's totals (shard partials into the fleet's). */
     void Accumulate(const HealthTotals& other);
+
+    /** Zeroes the totals in place; the histogram keeps its storage, so
+     *  a partial reused every sampled window stops allocating. */
+    void Reset();
 };
 
 /** Configuration of one shard: a contiguous slice of the fleet. */

@@ -172,7 +172,7 @@ ShardedFleetRunner::StepClaimedShards()
                                     shard.queue().Now()};
             }
             if (sample_this_window_) {
-                health_partials_[s] = {};
+                health_partials_[s].Reset();
                 shard.AddHealthTo(health_partials_[s]);
             }
         }

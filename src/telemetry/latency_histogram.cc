@@ -36,9 +36,38 @@ LatencyHistogram::BucketRepresentative(std::size_t index)
 }
 
 void
+LatencyHistogram::Cover(std::size_t lo, std::size_t hi)
+{
+    std::size_t first = lo / kSubBuckets * kSubBuckets;
+    std::size_t end = (hi / kSubBuckets + 1) * kSubBuckets;
+    if (!buckets_.empty()) {
+        first = std::min(first, first_);
+        end = std::max(end, first_ + buckets_.size());
+        if (first == first_ && end == first_ + buckets_.size()) {
+            return;
+        }
+    }
+    // Sized exactly: the run grows a few times in a histogram's life,
+    // and most histograms never leave their first octaves.
+    std::vector<std::uint64_t> grown(end - first);
+    if (!buckets_.empty()) {
+        std::copy(buckets_.begin(), buckets_.end(),
+                  grown.begin() +
+                      static_cast<std::ptrdiff_t>(first_ - first));
+    }
+    buckets_.swap(grown);
+    first_ = first;
+}
+
+void
 LatencyHistogram::Record(std::uint64_t value_ns)
 {
-    ++buckets_[BucketIndex(value_ns)];
+    const std::size_t index = BucketIndex(value_ns);
+    // Unsigned wrap-around makes an index below the run fail this too.
+    if (index - first_ >= buckets_.size()) {
+        Cover(index, index);
+    }
+    ++buckets_[index - first_];
     ++count_;
     sum_ += value_ns;
     min_ = std::min(min_, value_ns);
@@ -53,10 +82,14 @@ LatencyHistogram::Merge(const LatencyHistogram& other)
     }
     // Every sample of `other` lies in [min_, max_], so only the buckets
     // between theirs can be non-zero: an agent's epochs span a few
-    // octaves, a dozen or so of the 496 buckets.
-    const std::size_t last = BucketIndex(other.max_);
-    for (std::size_t i = BucketIndex(other.min_); i <= last; ++i) {
-        buckets_[i] += other.buckets_[i];
+    // octaves, a dozen or so of the 496 buckets. Covering those (not
+    // other's whole run) means a merge whose samples already lie in
+    // this run allocates nothing; a self-merge never reallocates.
+    const std::size_t lo = BucketIndex(other.min_);
+    const std::size_t hi = BucketIndex(other.max_);
+    Cover(lo, hi);
+    for (std::size_t i = lo; i <= hi; ++i) {
+        buckets_[i - first_] += other.buckets_[i - other.first_];
     }
     count_ += other.count_;
     sum_ += other.sum_;
@@ -67,7 +100,7 @@ LatencyHistogram::Merge(const LatencyHistogram& other)
 void
 LatencyHistogram::Reset()
 {
-    buckets_.fill(0);
+    std::fill(buckets_.begin(), buckets_.end(), 0);
     count_ = 0;
     sum_ = 0;
     min_ = ~std::uint64_t{0};
@@ -86,10 +119,11 @@ LatencyHistogram::ValueAtPercentile(double p) const
     rank = std::clamp<std::uint64_t>(rank, 1, count_);
 
     std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
         cumulative += buckets_[i];
         if (cumulative >= rank) {
-            return std::clamp(BucketRepresentative(i), min_, max_);
+            return std::clamp(BucketRepresentative(first_ + i), min_,
+                              max_);
         }
     }
     return max_;

@@ -8,8 +8,18 @@
  * paper's safeguard story is about — was invisible. LatencyHistogram is
  * the HDR-style fix: values (nanoseconds) land in power-of-two ranges
  * split into 2^kSubBits linear sub-buckets, giving ~12.5% relative
- * bucket width over the full uint64 range in ~4 KB of counters, with
- * O(1) recording (a bit-scan and one increment, no allocation).
+ * bucket width over the full uint64 range, with O(1) recording (a
+ * bit-scan and one increment).
+ *
+ * Storage is sparse: a histogram counts only the contiguous run of
+ * buckets its samples have reached, and holds none until its first
+ * sample. One agent's epochs reach about a dozen of the 496 buckets,
+ * and every agent's engine holds a histogram (77 per node at the
+ * paper's deployment shape), so a full array per agent would be most
+ * of a node's footprint. The run grows by whole octaves (kSubBuckets
+ * buckets) when a sample or a merge lands outside it. Once a
+ * histogram has seen its range, recording into it, merging into it
+ * and Reset() allocate nothing.
  *
  * Design constraints, in order:
  *   - Mergeable: bucket-wise addition, so per-agent histograms roll up
@@ -28,8 +38,9 @@
  */
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/sync.h"
 #include "core/thread_annotations.h"
@@ -59,7 +70,13 @@ class LatencyHistogram
     static constexpr std::size_t kNumBuckets =
         kSubBuckets + (64 - kSubBits) * kSubBuckets;
 
-    /** Adds one sample (O(1), allocation-free). */
+    // Copy-only: declaring the copies suppresses the implicit moves,
+    // which would leave a source's counts without their buckets.
+    LatencyHistogram() = default;
+    LatencyHistogram(const LatencyHistogram&) = default;
+    LatencyHistogram& operator=(const LatencyHistogram&) = default;
+
+    /** Adds one sample (O(1); allocates only to grow the run). */
     void Record(std::uint64_t value_ns);
 
     /** Bucket-wise addition of another histogram (exact: merging then
@@ -68,6 +85,8 @@ class LatencyHistogram
      *  the spread of `other`'s samples, not kNumBuckets. */
     void Merge(const LatencyHistogram& other);
 
+    /** Forgets every sample but keeps the run and its storage, so a
+     *  histogram refilled over the same range does not allocate. */
     void Reset();
 
     std::uint64_t count() const { return count_; }
@@ -92,7 +111,14 @@ class LatencyHistogram
     static std::size_t BucketIndex(std::uint64_t value_ns);
     static std::uint64_t BucketRepresentative(std::size_t index);
 
-    std::array<std::uint64_t, kNumBuckets> buckets_{};
+    /** Widens the run, by whole octaves, to cover buckets [lo, hi]. */
+    void Cover(std::size_t lo, std::size_t hi);
+
+    /** Counts of buckets [first_, first_ + buckets_.size()), empty
+     *  until the first sample. first_ and the run's length are whole
+     *  octaves (multiples of kSubBuckets). */
+    std::vector<std::uint64_t> buckets_;
+    std::size_t first_ = 0;
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = ~std::uint64_t{0};
@@ -104,9 +130,10 @@ class LatencyHistogram
  *
  * The arbiter's admit path is called from every agent's actuator
  * thread; its latency histograms take this lock per sample. The
- * critical section is a bit-scan and five integer updates, so the lock
- * costs less than the clock reads that produce the sample (and the
- * whole path is gated behind track_contention).
+ * critical section is a bit-scan and five integer updates (plus, a few
+ * times in the histogram's life, growing its run), so the lock costs
+ * less than the clock reads that produce the sample (and the whole
+ * path is gated behind track_contention).
  */
 class SharedLatencyHistogram
 {

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -134,8 +135,14 @@ TEST(ArbiterRaceTest, NoLostHoldsAndExactAccounting)
         std::uint64_t admitted = 0;
         std::uint64_t denied = 0;
         std::uint64_t restores = 0;
+        /** Denials by the holder each decision named. */
+        std::map<std::string, std::uint64_t> denied_by;
     };
     std::vector<Tally> tallies(kThreads);
+    // Threads start together, so the coupled workers really overlap
+    // and deny one another: a thread that ran its whole loop before
+    // the next one started would leave the per-pair checks vacuous.
+    std::atomic<int> started{0};
     const ActuationDomain domains[kThreads] = {
         ActuationDomain::kCpuFrequency,  ActuationDomain::kCpuCores,
         ActuationDomain::kMemoryPlacement, ActuationDomain::kCpuFrequency,
@@ -150,13 +157,20 @@ TEST(ArbiterRaceTest, NoLostHoldsAndExactAccounting)
             const ActuationDomain domain = domains[t];
             std::mt19937 rng(1000u + static_cast<unsigned>(t));
             Tally& tally = tallies[t];
+            started.fetch_add(1, std::memory_order_acq_rel);
+            while (started.load(std::memory_order_acquire) < kThreads) {
+                std::this_thread::yield();
+            }
             for (int i = 0; i < kIterations; ++i) {
                 if (rng() % 4 != 0) {
                     ++tally.expands;
-                    if (arbiter.Admit(Expand(agent, domain)).admitted) {
+                    const core::ActuationDecision decision =
+                        arbiter.Admit(Expand(agent, domain));
+                    if (decision.admitted) {
                         ++tally.admitted;
                     } else {
                         ++tally.denied;
+                        ++tally.denied_by[decision.conflicting_agent];
                     }
                 } else {
                     ++tally.restores;
@@ -180,6 +194,22 @@ TEST(ArbiterRaceTest, NoLostHoldsAndExactAccounting)
     arbiter.WriteMetrics();
     std::uint64_t total_requests = 0;
     std::uint64_t total_denied = 0;
+    // Per-pair attribution: every published denial counter is one
+    // (denied agent, holder) pair the callers saw, with their count.
+    std::map<std::string, std::uint64_t> expected_denials;
+    for (int t = 0; t < kThreads; ++t) {
+        for (const auto& [holder, count] : tallies[t].denied_by) {
+            expected_denials["arbiter.denial.worker" + std::to_string(t) +
+                             ".by." + holder] = count;
+        }
+    }
+    std::map<std::string, std::uint64_t> published_denials;
+    for (const auto& [name, value] : metrics.counters()) {
+        if (name.rfind("arbiter.denial.", 0) == 0) {
+            published_denials[name] = value;
+        }
+    }
+    EXPECT_EQ(published_denials, expected_denials);
     for (int t = 0; t < kThreads; ++t) {
         const Tally& tally = tallies[t];
         const std::string prefix =

@@ -116,6 +116,20 @@ TEST(InterferenceArbiter, SameDomainContentionBetweenAgents)
     EXPECT_TRUE(
         arbiter.Admit(Expand("b", ActuationDomain::kTelemetryBudget))
             .admitted);
+
+    // A holder newer than b's first denial is attributed by name too.
+    EXPECT_TRUE(arbiter.Admit(Restore("a", ActuationDomain::kCpuCores))
+                    .admitted);
+    EXPECT_TRUE(arbiter.Admit(Expand("c", ActuationDomain::kCpuCores))
+                    .admitted);
+    const auto denied =
+        arbiter.Admit(Expand("b", ActuationDomain::kCpuCores));
+    EXPECT_FALSE(denied.admitted);
+    EXPECT_EQ(denied.conflicting_agent, "c");
+    arbiter.WriteMetrics();
+    EXPECT_EQ(metrics.Counter("arbiter.denial.b.by.a"), 1u);
+    EXPECT_EQ(metrics.Counter("arbiter.denial.b.by.c"), 1u);
+    EXPECT_EQ(metrics.Counter("arbiter.conflicts"), 2u);
 }
 
 TEST(InterferenceArbiter, RestoreIsNeverBlocked)

@@ -13,7 +13,7 @@
  * wrappers also sum the bytes requested, which bounds what one
  * fleet-shaped node allocates while it is built: the fleet pays it once
  * per node. A fleet runner's window-boundary gauge merge allocates
- * nothing either.
+ * nothing either, nor does a latency histogram that has seen its range.
  */
 #include <gtest/gtest.h>
 
@@ -30,6 +30,7 @@
 #include "fleet/fleet_runner.h"
 #include "ml/cost_sensitive.h"
 #include "sim/event_queue.h"
+#include "telemetry/latency_histogram.h"
 
 namespace {
 
@@ -256,12 +257,44 @@ TEST(HotPathTest, FleetWindowGaugeMergeDoesNotAllocate)
     quiet.Stop();
 }
 
-TEST(HotPathTest, FleetShapedNodeBuildsWithinOneMebibyte)
+TEST(HotPathTest, LatencyHistogramStopsAllocatingOnceItsRangeIsSeen)
+{
+    // An engine's epoch histogram grows its run while its first epochs
+    // reach new octaves, then settles: recording inside the run,
+    // resetting and refilling it, and merging in samples that lie
+    // inside it all reuse the storage it has.
+    telemetry::LatencyHistogram hist;
+    for (std::uint64_t v = 1'000; v <= 1'000'000; v *= 10) {
+        hist.Record(v);
+    }
+    telemetry::LatencyHistogram inside;
+    inside.Record(2'500);
+    inside.Record(640'000);
+
+    const std::uint64_t allocations = g_allocations;
+    for (std::uint64_t v = 1'000; v <= 1'000'000; v += 997) {
+        hist.Record(v);
+    }
+    hist.Reset();
+    for (std::uint64_t v = 1'000'000; v >= 1'000; v /= 2) {
+        hist.Record(v);
+    }
+    hist.Merge(inside);
+    hist.Merge(hist);
+    EXPECT_EQ(g_allocations - allocations, 0u);
+    EXPECT_EQ(hist.count(), 2u * (10u + 2u));
+    EXPECT_EQ(hist.min_ns(), 1'953u);
+    EXPECT_EQ(hist.max_ns(), 1'000'000u);
+}
+
+TEST(HotPathTest, FleetShapedNodeBuildsWithinQuarterMebibyte)
 {
     // The paper's deployment shape: the four paper agents plus 73
-    // synthetics. Building one takes 572,744 bytes with sparse
-    // classifier rows, about half the budget; a dense per-agent table
-    // (SmartHarvest's classifier once zero-filled 3.67 MB) fails it.
+    // synthetics. Building one takes 227,432 bytes: every agent's
+    // epoch histogram starts without storage, and SmartHarvest's
+    // classifier rows are sparse. 4,000-byte dense epoch histograms
+    // (538,336 bytes per node) fail the budget, as does a dense
+    // per-agent classifier table (once 3.67 MB).
     cluster::MultiAgentNodeConfig config;
     config.synthetic_agents = 73;
     sim::EventQueue queue;
@@ -271,7 +304,7 @@ TEST(HotPathTest, FleetShapedNodeBuildsWithinOneMebibyte)
     const std::uint64_t built = g_allocated_bytes - bytes;
 
     EXPECT_EQ(node->num_agents(), 77u);
-    EXPECT_LE(built, std::uint64_t{1} << 20);
+    EXPECT_LE(built, std::uint64_t{256} << 10);
     RecordProperty("construction_bytes", std::to_string(built));
 }
 

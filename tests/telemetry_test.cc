@@ -5,8 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -520,6 +524,221 @@ TEST(LatencyHistogramTest, ResetClears)
     hist.Reset();
     EXPECT_TRUE(hist.empty());
     EXPECT_EQ(hist.ValueAtPercentile(50.0), 0u);
+}
+
+/**
+ * The dense layout LatencyHistogram replaced: every bucket of the
+ * uint64 range held by value. Kept only as the reference the sparse
+ * run is checked against, bit for bit.
+ */
+class DenseHistogram
+{
+  public:
+    static constexpr std::size_t kSubBuckets = 8;
+    static constexpr std::size_t kNumBuckets = kSubBuckets + 61 * kSubBuckets;
+
+    void
+    Record(std::uint64_t value_ns)
+    {
+        ++buckets_[BucketIndex(value_ns)];
+        ++count_;
+        sum_ += value_ns;
+        min_ = std::min(min_, value_ns);
+        max_ = std::max(max_, value_ns);
+    }
+
+    void
+    Merge(const DenseHistogram& other)
+    {
+        for (std::size_t i = 0; i < kNumBuckets; ++i) {
+            buckets_[i] += other.buckets_[i];
+        }
+        count_ += other.count_;
+        sum_ += other.sum_;
+        min_ = std::min(min_, other.min_);
+        max_ = std::max(max_, other.max_);
+    }
+
+    void Reset() { *this = DenseHistogram(); }
+
+    std::uint64_t
+    ValueAtPercentile(double p) const
+    {
+        if (count_ == 0) {
+            return 0;
+        }
+        const double clamped = std::clamp(p, 0.0, 100.0);
+        auto rank = static_cast<std::uint64_t>(
+            std::ceil(clamped / 100.0 * static_cast<double>(count_)));
+        rank = std::clamp<std::uint64_t>(rank, 1, count_);
+        std::uint64_t cumulative = 0;
+        for (std::size_t i = 0; i < kNumBuckets; ++i) {
+            cumulative += buckets_[i];
+            if (cumulative >= rank) {
+                return std::clamp(BucketRepresentative(i), min_, max_);
+            }
+        }
+        return max_;
+    }
+
+    LatencySnapshot
+    Snapshot() const
+    {
+        return {count_,
+                sum_,
+                count_ == 0 ? 0 : min_,
+                max_,
+                ValueAtPercentile(50.0),
+                ValueAtPercentile(90.0),
+                ValueAtPercentile(99.0),
+                ValueAtPercentile(99.9)};
+    }
+
+    std::uint64_t count() const { return count_; }
+
+  private:
+    static std::size_t
+    BucketIndex(std::uint64_t value_ns)
+    {
+        if (value_ns < kSubBuckets) {
+            return static_cast<std::size_t>(value_ns);
+        }
+        const int shift = 60 - std::countl_zero(value_ns);
+        return kSubBuckets + static_cast<std::size_t>(shift) * kSubBuckets +
+               static_cast<std::size_t>(value_ns >> shift) - kSubBuckets;
+    }
+
+    static std::uint64_t
+    BucketRepresentative(std::size_t index)
+    {
+        if (index < kSubBuckets) {
+            return index;
+        }
+        const std::size_t shift = (index - kSubBuckets) / kSubBuckets;
+        const std::size_t sub = (index - kSubBuckets) % kSubBuckets;
+        return (static_cast<std::uint64_t>(kSubBuckets + sub) << shift) +
+               ((std::uint64_t{1} << shift) >> 1);
+    }
+
+    std::array<std::uint64_t, kNumBuckets> buckets_{};
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
+    std::uint64_t min_ = ~std::uint64_t{0};
+    std::uint64_t max_ = 0;
+};
+
+void
+ExpectSameSnapshot(const LatencySnapshot& sparse,
+                   const LatencySnapshot& dense)
+{
+    EXPECT_EQ(sparse.count, dense.count);
+    EXPECT_EQ(sparse.sum_ns, dense.sum_ns);
+    EXPECT_EQ(sparse.min_ns, dense.min_ns);
+    EXPECT_EQ(sparse.max_ns, dense.max_ns);
+    EXPECT_EQ(sparse.p50_ns, dense.p50_ns);
+    EXPECT_EQ(sparse.p90_ns, dense.p90_ns);
+    EXPECT_EQ(sparse.p99_ns, dense.p99_ns);
+    EXPECT_EQ(sparse.p999_ns, dense.p999_ns);
+}
+
+TEST(LatencyHistogramTest, SparseRunMatchesDenseLayoutOnASeededStream)
+{
+    // One seeded stream drives eight sparse histograms and their dense
+    // twins: records anywhere in the 64 octaves and clustered runs (an
+    // agent's epochs), merges of random pairs (self, empty and disjoint
+    // ones included), copies, fresh histograms that have no storage
+    // yet, and resets followed by re-recording. Each step checks the
+    // histogram it touched, at every rank while it is tiny and at the
+    // top rank always, where a sample lost past the run's end shows;
+    // checkpoints check every histogram, and every rank of the small
+    // ones.
+    constexpr std::size_t kHistograms = 8;
+    constexpr int kSteps = 20'000;
+    std::vector<LatencyHistogram> sparse(kHistograms);
+    std::vector<DenseHistogram> dense(kHistograms);
+    std::mt19937_64 rng(20221008u);
+    const auto anywhere = [&rng] {
+        const auto bits = static_cast<int>(rng() % 65);
+        if (bits == 0) {
+            return std::uint64_t{0};
+        }
+        const std::uint64_t top = std::uint64_t{1} << (bits - 1);
+        return top | (rng() & (top - 1));
+    };
+    const auto check_ranks = [&](std::size_t h, std::uint64_t up_to) {
+        const std::uint64_t count = dense[h].count();
+        if (count > up_to) {
+            return;
+        }
+        for (std::uint64_t k = 0; k <= count; ++k) {
+            const double p = count == 0 ? 0.0
+                                        : 100.0 * static_cast<double>(k) /
+                                              static_cast<double>(count);
+            ASSERT_EQ(sparse[h].ValueAtPercentile(p),
+                      dense[h].ValueAtPercentile(p))
+                << "histogram " << h << ", rank " << k << " of " << count;
+        }
+    };
+
+    std::uint64_t merges = 0;
+    std::uint64_t resets = 0;
+    for (int step = 0; step < kSteps; ++step) {
+        const std::size_t h = rng() % kHistograms;
+        const std::uint64_t kind = rng() % 100;
+        if (kind < 55) {
+            const std::uint64_t value = anywhere();
+            sparse[h].Record(value);
+            dense[h].Record(value);
+        } else if (kind < 75) {
+            const std::uint64_t center = anywhere();
+            const std::uint64_t spread = center / 16 + 1;
+            for (std::uint64_t n = rng() % 40 + 1; n > 0; --n) {
+                const std::uint64_t value = center - rng() % spread;
+                sparse[h].Record(value);
+                dense[h].Record(value);
+            }
+        } else if (kind < 90) {
+            const std::uint64_t pick = rng() % 10;
+            if (pick == 0) {
+                sparse[h].Merge(LatencyHistogram());
+                dense[h].Merge(DenseHistogram());
+            } else {
+                const std::size_t other =
+                    pick == 1 ? h : rng() % kHistograms;
+                sparse[h].Merge(sparse[other]);
+                dense[h].Merge(dense[other]);
+            }
+            ++merges;
+        } else if (kind < 93) {
+            const std::size_t other = rng() % kHistograms;
+            sparse[h] = sparse[other];
+            dense[h] = dense[other];
+        } else if (kind < 95) {
+            sparse[h] = LatencyHistogram();
+            dense[h] = DenseHistogram();
+        } else {
+            sparse[h].Reset();
+            dense[h].Reset();
+            ++resets;
+        }
+        ExpectSameSnapshot(sparse[h].Snapshot(), dense[h].Snapshot());
+        EXPECT_EQ(sparse[h].ValueAtPercentile(100.0),
+                  dense[h].ValueAtPercentile(100.0));
+        check_ranks(h, 16);
+        if (step % 100 == 99 || step == kSteps - 1) {
+            for (std::size_t i = 0; i < kHistograms; ++i) {
+                SCOPED_TRACE("step " + std::to_string(step));
+                ExpectSameSnapshot(sparse[i].Snapshot(),
+                                   dense[i].Snapshot());
+                check_ranks(i, 64);
+            }
+        }
+        if (HasFailure()) {
+            FAIL() << "diverged at step " << step << ", histogram " << h;
+        }
+    }
+    EXPECT_GT(merges, 2'000u);
+    EXPECT_GT(resets, 400u);
 }
 
 TEST(SharedLatencyHistogramTest, RecordsThroughTheLock)
