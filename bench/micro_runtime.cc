@@ -55,19 +55,17 @@ BM_EventQueueScheduleAndRun(benchmark::State& state)
 }
 BENCHMARK(BM_EventQueueScheduleAndRun);
 
-// Steady-state churn: 1000 concurrent self-rescheduling events (the
-// PeriodicTask / runtime-loop pattern). Every firing recycles its own
-// arena slot; items/sec is sustained simulation throughput.
+// Steady-state churn: 1000 concurrent self-re-arming events (the
+// PeriodicTask / runtime-loop pattern). Every firing files its own
+// arena slot again; items/sec is sustained simulation throughput.
 void
 BM_EventQueueSteadyChurn(benchmark::State& state)
 {
     sol::sim::EventQueue queue;
-    std::function<void(int)> arm = [&](int i) {
-        queue.ScheduleAfter(sol::sim::Micros(50 + i % 97),
-                            [&arm, i] { arm(i); });
-    };
     for (int i = 0; i < 1000; ++i) {
-        arm(i);
+        const sol::sim::Duration period = sol::sim::Micros(50 + i % 97);
+        queue.ScheduleAfter(period,
+                            [period] { return sol::sim::Next::After(period); });
     }
     const std::uint64_t before = queue.executed();
     for (auto _ : state) {
@@ -86,15 +84,12 @@ void
 BM_EventQueueCancelChurn(benchmark::State& state)
 {
     sol::sim::EventQueue queue;
-    std::function<void(int)> arm = [&](int i) {
-        sol::sim::EventHandle timeout =
-            queue.ScheduleAfter(sol::sim::Millis(5), [] {});
-        timeout.Cancel();
-        queue.ScheduleAfter(sol::sim::Micros(50 + i % 97),
-                            [&arm, i] { arm(i); });
-    };
     for (int i = 0; i < 1000; ++i) {
-        arm(i);
+        const sol::sim::Duration period = sol::sim::Micros(50 + i % 97);
+        queue.ScheduleAfter(period, [&queue, period] {
+            queue.ScheduleAfter(sol::sim::Millis(5), [] {}).Cancel();
+            return sol::sim::Next::After(period);
+        });
     }
     const std::uint64_t before = queue.executed();
     for (auto _ : state) {
@@ -121,11 +116,10 @@ BM_EventQueueFleetMix(benchmark::State& state)
     struct Fire {
         Streams* streams;
         std::size_t index;
-        void
+        sol::sim::Next
         operator()() const
         {
-            streams->queue.ScheduleAfter(streams->period[index],
-                                         Fire{streams, index});
+            return sol::sim::Next::After(streams->period[index]);
         }
     };
     constexpr std::size_t kFast = 2;

@@ -154,7 +154,8 @@ struct MultiAgentNodeConfig {
     double cold_rate_per_sec = 0.004;
     sim::Duration channel_visibility = sim::Seconds(2);
 
-    // --- Driver cadence ---------------------------------------------------
+    // --- Driver cadence (each must be positive; Start() throws
+    // std::invalid_argument otherwise) ---------------------------------
     /** Hypervisor tick advancing VMs/counters (50 us = paper sampling). */
     sim::Duration node_tick = sim::Micros(50);
     sim::Duration memory_tick = sim::Millis(100);
@@ -304,16 +305,27 @@ class NodeCore
     /**
      * Starts every agent runtime. The first call also arms the
      * substrate drivers, which keep running until the node dies.
-     * Throws std::invalid_argument, before anything starts, when health
-     * sampling is on with a non-positive period.
+     * Throws std::invalid_argument, before anything starts, when a
+     * driver tick is non-positive (a zero tick would re-fire at one
+     * instant forever) or health sampling is on with a non-positive
+     * period.
      */
     void
     Start()
     {
-        if (config_.health != nullptr &&
-            config_.health_period <= sim::Duration::zero()) {
-            throw std::invalid_argument(
-                "MultiAgentNodeConfig::health_period must be positive");
+        const auto require_positive = [](sim::Duration period,
+                                         const char* field) {
+            if (period <= sim::Duration::zero()) {
+                throw std::invalid_argument(
+                    std::string("MultiAgentNodeConfig::") + field +
+                    " must be positive");
+            }
+        };
+        require_positive(config_.node_tick, "node_tick");
+        require_positive(config_.memory_tick, "memory_tick");
+        require_positive(config_.channel_tick, "channel_tick");
+        if (config_.health != nullptr) {
+            require_positive(config_.health_period, "health_period");
         }
         if (started_) {
             return;

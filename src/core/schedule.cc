@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,29 +42,44 @@ sim::Duration
 ParseDuration(const std::string& text)
 {
     std::size_t pos = 0;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.')) {
-        ++pos;
+    bool seen_point = false;
+    for (; pos < text.size(); ++pos) {
+        const char c = text[pos];
+        if (c == '.' && !seen_point) {
+            seen_point = true;
+        } else if (!std::isdigit(static_cast<unsigned char>(c))) {
+            break;  // A second point lands in the unit, which rejects it.
+        }
     }
     if (pos == 0) {
         throw std::invalid_argument("duration has no number: " + text);
     }
-    const double value = std::stod(text.substr(0, pos));
+    double value = 0;
+    try {
+        value = std::stod(text.substr(0, pos));
+    } catch (const std::out_of_range&) {
+        throw std::invalid_argument("duration out of range: " + text);
+    }
     const std::string unit = text.substr(pos);
+    double scale = 0;
     if (unit == "ns") {
-        return sim::Duration(static_cast<std::int64_t>(value));
+        scale = 1;
+    } else if (unit == "us") {
+        scale = 1e3;
+    } else if (unit == "ms") {
+        scale = 1e6;
+    } else if (unit == "s") {
+        scale = 1e9;
+    } else {
+        throw std::invalid_argument("unknown duration unit: " + text);
     }
-    if (unit == "us") {
-        return sim::Duration(static_cast<std::int64_t>(value * 1e3));
+    const double ns = value * scale;
+    // 2^63 is exactly representable; converting anything at or above it
+    // to int64 is undefined behaviour.
+    if (!(ns < 0x1p63)) {
+        throw std::invalid_argument("duration out of range: " + text);
     }
-    if (unit == "ms") {
-        return sim::Duration(static_cast<std::int64_t>(value * 1e6));
-    }
-    if (unit == "s") {
-        return sim::Duration(static_cast<std::int64_t>(value * 1e9));
-    }
-    throw std::invalid_argument("unknown duration unit: " + text);
+    return sim::Duration(static_cast<std::int64_t>(ns));
 }
 
 namespace {

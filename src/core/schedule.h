@@ -67,7 +67,12 @@ struct Schedule {
  */
 Schedule ParseSchedule(std::istream& in);
 
-/** Parses a duration literal like "250ms", "50us", "1s", "38400ms". */
+/**
+ * Parses a duration literal like "250ms", "50us", "1s", "1.5s": digits
+ * with at most one decimal point, then ns, us, ms or s. Throws
+ * std::invalid_argument on anything else, and when the value does not
+ * fit in int64 nanoseconds.
+ */
 sim::Duration ParseDuration(const std::string& text);
 
 }  // namespace sol::core

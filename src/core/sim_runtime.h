@@ -8,12 +8,12 @@
  * that single implementation). SimRuntime contributes only scheduling
  * policy on virtual time:
  *
- *   - collect ticks are event-queue continuations at
+ *   - collect ticks are one self-re-arming event-queue continuation at
  *     data_collect_interval (deferred through model stalls),
  *   - each delivered prediction schedules a zero-delay actuator wake,
  *   - the max_actuation_delay timeout is an armed/cancelled event
  *     relative to the last action,
- *   - actuator assessments are a periodic event chain.
+ *   - actuator assessments are a second self-re-arming continuation.
  *
  * Fault-injection hooks reproduce the paper's failure experiments:
  * per-sample data corruption (Fig 2/6-left, SetDataFault), model-loop
@@ -171,35 +171,32 @@ class SimRuntime
 
     // ---- Model loop -----------------------------------------------------
 
+    /** Starts the collect loop: one continuation that re-arms itself
+     *  every data_collect_interval for as long as its token lives. */
     void
     ScheduleCollect()
     {
         queue_.ScheduleAfter(engine_.schedule().data_collect_interval,
                              [this, alive = alive_] {
-                                 if (*alive) {
-                                     OnCollectTick();
-                                 }
+                                 return *alive ? OnCollectTick()
+                                               : sim::Next::Done();
                              });
     }
 
-    void
+    sim::Next
     OnCollectTick()
     {
         const sim::TimePoint now = queue_.Now();
         if (now < model_resume_time_) {
             // The model loop is stalled: defer to the end of the stall.
-            queue_.ScheduleAt(model_resume_time_, [this, alive = alive_] {
-                if (*alive) {
-                    OnCollectTick();
-                }
-            });
-            return;
+            return sim::Next::At(model_resume_time_);
         }
 
         const CollectOutcome outcome = engine_.CollectOnce(now);
+        const sim::Next next =
+            sim::Next::After(engine_.schedule().data_collect_interval);
         if (outcome == CollectOutcome::kEpochContinues) {
-            ScheduleCollect();
-            return;
+            return next;
         }
         engine_.Deliver(engine_.FinishEpoch(
             now, outcome == CollectOutcome::kEpochComplete));
@@ -211,7 +208,7 @@ class SimRuntime
             }
         });
         engine_.BeginEpoch(now);
-        ScheduleCollect();
+        return next;
     }
 
     // ---- Actuator loop -----------------------------------------------------
@@ -246,18 +243,19 @@ class SimRuntime
         }
     }
 
+    /** Starts the assessment loop, re-arming every
+     *  assess_actuator_interval for as long as its token lives. */
     void
     ScheduleActuatorAssessment()
     {
         queue_.ScheduleAfter(engine_.schedule().assess_actuator_interval,
                              [this, alive = alive_] {
-                                 if (*alive) {
-                                     OnActuatorAssessment();
-                                 }
+                                 return *alive ? OnActuatorAssessment()
+                                               : sim::Next::Done();
                              });
     }
 
-    void
+    sim::Next
     OnActuatorAssessment()
     {
         const sim::TimePoint now = queue_.Now();
@@ -268,7 +266,7 @@ class SimRuntime
                 ArmActuatorTimeout();
             }
         }
-        ScheduleActuatorAssessment();
+        return sim::Next::After(engine_.schedule().assess_actuator_interval);
     }
 
     sim::EventQueue& queue_;
@@ -279,8 +277,11 @@ class SimRuntime
      * closures: `this` plus the token). Stop() strands the old token
      * false, so continuations still fire — they count in the queue's
      * trace_hash — but as no-ops that never touch the runtime, even
-     * after it is destroyed. A ConfinedShared count: continuations stay
-     * on the queue's thread, so no copy needs an atomic.
+     * after it is destroyed, and the two loops end there. A
+     * re-arming loop keeps the token it was built with, so a Start()
+     * after Stop() runs fresh loops and the old ones die out. A
+     * ConfinedShared count: continuations stay on the queue's thread,
+     * so no copy needs an atomic.
      */
     sim::ConfinedShared<bool> alive_;
     sim::TimePoint model_resume_time_{0};

@@ -3,10 +3,16 @@
  * Event storage and ordering for the discrete-event simulation core:
  * arena-allocated event slots ordered by a monotone radix queue.
  *
+ *  - Next: what a continuation returns to run again — After(delay),
+ *    At(time) or Done().
  *  - InlineEvent: a type-erased callable built in place in its slot,
  *    with a 24-byte inline buffer. Every closure the runtimes schedule
  *    fits inline, so the steady path performs no closure allocation;
  *    larger callables transparently spill to the heap for correctness.
+ *    A closure returning void fires once. A closure returning Next is
+ *    a self-re-arming continuation: when it asks to run again, it
+ *    stays built in its slot and the slot is filed again, so a
+ *    periodic loop builds its closure once in its whole life.
  *  - EventKey / EventArena: event slots in fixed-size blocks addressed
  *    by dense 32-bit ids and recycled through a free list. The 32-byte
  *    key records — (time, sequence) plus the slot's place in the
@@ -14,7 +20,8 @@
  *    payloads sit in a parallel array and are only touched on schedule
  *    and fire. Generation counters give O(1) handle invalidation:
  *    freeing a slot bumps its generation, so a stale handle can never
- *    touch a recycled event.
+ *    touch a recycled event. A re-armed slot is never freed, so it
+ *    keeps its generation and every handle to it stays valid.
  *
  * Ordering is a monotone radix queue (a radix heap). Schedules are
  * clamped to Now(), so no pending event is earlier than `last_`, the
@@ -60,6 +67,61 @@
 
 #include "sim/time.h"
 
+namespace sol::sim {
+
+/**
+ * What a self-re-arming continuation returns: run again after a delay,
+ * at a time, or never. The queue files the event's slot again with the
+ * closure still built in it, so handles to the event stay valid and
+ * nothing is rebuilt.
+ *
+ * The re-arm takes its sequence number when the closure returns, after
+ * every event the closure scheduled while it ran, exactly as a
+ * ScheduleAfter written as the closure's last statement would: a
+ * zero-delay re-arm runs after the closure's own same-instant children.
+ */
+class Next
+{
+  public:
+    /** Run again `delay` from now (clamped to >= 0, as ScheduleAfter). */
+    static constexpr Next
+    After(Duration delay)
+    {
+        return Next(Kind::kAfter, delay);
+    }
+
+    /** Run again at `when` (clamped to >= Now(), as ScheduleAt). */
+    static constexpr Next
+    At(TimePoint when)
+    {
+        return Next(Kind::kAt, when);
+    }
+
+    /** Fire no more: the closure is destroyed and its slot recycled. */
+    static constexpr Next Done() { return Next(Kind::kDone, Duration{0}); }
+
+    constexpr bool rearms() const { return kind_ != Kind::kDone; }
+
+    /** The re-arm time when the closure returned at `now`. */
+    constexpr TimePoint
+    When(TimePoint now) const
+    {
+        const TimePoint when = kind_ == Kind::kAfter ? now + value_ : value_;
+        return when < now ? now : when;
+    }
+
+  private:
+    enum class Kind : std::uint8_t { kDone, kAfter, kAt };
+
+    constexpr Next(Kind kind, Duration value) : value_(value), kind_(kind)
+    {}
+
+    Duration value_;  ///< After's delay or At's time.
+    Kind kind_;
+};
+
+}  // namespace sol::sim
+
 namespace sol::sim::detail {
 
 /** Sentinel slot id: "no event". */
@@ -72,9 +134,9 @@ inline constexpr std::uint32_t kNilEvent = 0xffffffffu;
  * Emplace() constructs a closure of up to kInlineBytes directly in the
  * buffer (no allocation) and boxes anything larger on the heap. A
  * stored closure never moves — it is built in its slot and fired there
- * — so there is no relocation path. Invocation and destruction dispatch
- * through a static ops table; an empty InlineEvent is two words of
- * state.
+ * — so there is no relocation path. Firing and destruction dispatch
+ * through a static ops table chosen at compile time from the closure's
+ * return type; an empty InlineEvent is two words of state.
  */
 class alignas(32) InlineEvent
 {
@@ -100,8 +162,12 @@ class alignas(32) InlineEvent
     Emplace(F&& fn)
     {
         using Fn = std::decay_t<F>;
-        static_assert(std::is_invocable_r_v<void, Fn&>,
+        static_assert(std::is_invocable_v<Fn&>,
                       "event callables take no arguments");
+        using Result = std::invoke_result_t<Fn&>;
+        static_assert(std::is_void_v<Result> || std::is_same_v<Result, Next>,
+                      "event callables return void (fire once) or "
+                      "sim::Next (re-arm)");
         assert(ops_ == nullptr);
         if constexpr (sizeof(Fn) <= kInlineBytes &&
                       alignof(Fn) <= alignof(std::max_align_t)) {
@@ -115,17 +181,22 @@ class alignas(32) InlineEvent
     }
 
     /**
-     * Runs the callable and destroys it in one dispatch (the arena's
-     * fire path — one indirect call instead of invoke-then-destroy).
-     * Leaves this event empty.
+     * Runs the callable in one dispatch (the arena's fire path — one
+     * indirect call). A fire-once closure, one that returns Done(), and
+     * one that throws are destroyed by that same call, leaving this
+     * event empty; a closure that re-arms stays built here.
      */
-    void
-    InvokeAndDestroy()
+    Next
+    Fire()
     {
         assert(ops_ != nullptr);
         const Ops* ops = ops_;
         ops_ = nullptr;
-        ops->invoke_destroy(storage_);
+        const Next next = ops->fire(storage_);
+        if (next.rearms()) {
+            ops_ = ops;
+        }
+        return next;
     }
 
     /** Destroys the held callable (no-op when empty). */
@@ -140,21 +211,46 @@ class alignas(32) InlineEvent
 
   private:
     struct Ops {
-        void (*invoke_destroy)(void* storage);  ///< Run, then destroy.
+        /** Runs; destroys unless the closure re-arms. */
+        Next (*fire)(void* storage);
         void (*destroy)(void* storage);
     };
 
+    /**
+     * Invokes `fn` and returns its re-arm request (Done() for a void
+     * closure), calling `destroy` unless it re-arms — also when it
+     * throws, so a throwing callback never leaks its captures.
+     */
+    template <typename Fn, typename Destroy>
+    static Next
+    Invoke(Fn& fn, Destroy destroy)
+    {
+        struct Guard {
+            Destroy destroy;
+            bool keep = false;
+            ~Guard()
+            {
+                if (!keep) {
+                    destroy();
+                }
+            }
+        } guard{destroy};
+        if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
+            fn();
+            return Next::Done();
+        } else {
+            const Next next = fn();
+            guard.keep = next.rearms();
+            return next;
+        }
+    }
+
     template <typename Fn>
-    static void
-    InlineInvokeDestroy(void* storage)
+    static Next
+    InlineFire(void* storage)
     {
         Fn* fn = static_cast<Fn*>(storage);
-        // RAII so a throwing callback still destroys its captures.
-        struct Guard {
-            Fn* fn;
-            ~Guard() { fn->~Fn(); }
-        } guard{fn};
-        (*fn)();
+        return Invoke(*fn, [fn] { fn->~Fn(); });
     }
     template <typename Fn>
     static void
@@ -163,8 +259,7 @@ class alignas(32) InlineEvent
         static_cast<Fn*>(storage)->~Fn();
     }
     template <typename Fn>
-    static constexpr Ops kInlineOps = {&InlineInvokeDestroy<Fn>,
-                                       &InlineDestroy<Fn>};
+    static constexpr Ops kInlineOps = {&InlineFire<Fn>, &InlineDestroy<Fn>};
 
     template <typename Fn>
     static Fn*&
@@ -173,16 +268,11 @@ class alignas(32) InlineEvent
         return *static_cast<Fn**>(storage);
     }
     template <typename Fn>
-    static void
-    HeapInvokeDestroy(void* storage)
+    static Next
+    HeapFire(void* storage)
     {
         Fn* fn = Boxed<Fn>(storage);
-        // RAII so a throwing callback still frees the boxed closure.
-        struct Guard {
-            Fn* fn;
-            ~Guard() { delete fn; }
-        } guard{fn};
-        (*fn)();
+        return Invoke(*fn, [fn] { delete fn; });
     }
     template <typename Fn>
     static void
@@ -191,8 +281,7 @@ class alignas(32) InlineEvent
         delete Boxed<Fn>(storage);
     }
     template <typename Fn>
-    static constexpr Ops kHeapOps = {&HeapInvokeDestroy<Fn>,
-                                     &HeapDestroy<Fn>};
+    static constexpr Ops kHeapOps = {&HeapFire<Fn>, &HeapDestroy<Fn>};
 
     alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
     const Ops* ops_ = nullptr;
@@ -254,8 +343,8 @@ class EventArena
     /**
      * Key of the event surfaced by PopEarliest. The payload stays in
      * the arena (slot out of the queue but still allocated) and is run
-     * in place by InvokePopped; the cached pointers stay valid until
-     * then because block storage never moves.
+     * in place by FirePopped; the cached pointers stay valid until the
+     * slot is recycled because block storage never moves.
      */
     struct Popped {
         TimePoint when{0};
@@ -302,11 +391,7 @@ class EventArena
         k.when = when;
         k.seq = seq;
         File(index, k);
-        ++live_;
-        ++stats_.scheduled;
-        if (live_ > stats_.peak_pending) {
-            stats_.peak_pending = live_;
-        }
+        Admitted();
         return index;
     }
 
@@ -314,7 +399,8 @@ class EventArena
      * Pops the earliest event if it fires at or before `horizon`,
      * taking it out of the queue but leaving the slot allocated so the
      * closure can run in place. The caller must follow up with
-     * InvokePopped(*out), which recycles the slot.
+     * FirePopped(*out), and with Refile or Discard when the closure
+     * re-arms.
      *
      * last_ only ever moves to the time of an event that is popped, so
      * it never passes `horizon`: a RunUntil that stops short of the
@@ -358,31 +444,64 @@ class EventArena
 
     /**
      * Runs a popped event's closure directly from its (still allocated)
-     * slot — one fused invoke+destroy dispatch, no payload relocation —
-     * then recycles the slot. Block storage is address-stable, so the
+     * slot — one dispatch, no payload relocation — and returns what the
+     * closure asked for. Block storage is address-stable, so the
      * closure may freely schedule new events (growing the arena) while
      * it runs; a Cancel() of the firing event through its own handle is
      * rejected because the slot is in no bucket.
+     *
+     * A closure that fires once, returns Done() or throws is destroyed
+     * and its slot recycled. One that re-arms keeps the slot, out of
+     * every bucket and out of the pending count, until the caller
+     * Refiles or Discards it.
      */
-    void
-    InvokePopped(const Popped& popped)
+    Next
+    FirePopped(const Popped& popped)
     {
         // RAII slot recycle: PopEarliest already took the event out of
         // the pending count, so even a throwing callback must not lose
         // the slot (or skip the generation bump that invalidates
-        // handles). Runs after the payload's own invoke+destroy.
-        struct Recycle {
+        // handles). Runs after the payload's own destruction.
+        struct RecycleGuard {
             EventArena* arena;
             const Popped* popped;
-            ~Recycle()
+            bool keep = false;
+            ~RecycleGuard()
             {
-                EventKey& k = *popped->key;
-                ++k.generation;
-                k.pos = arena->free_head_;
-                arena->free_head_ = popped->index;
+                if (!keep) {
+                    arena->Recycle(*popped);
+                }
             }
         } recycle{this, &popped};
-        popped.fn->InvokeAndDestroy();
+        const Next next = popped.fn->Fire();
+        recycle.keep = next.rearms();
+        return next;
+    }
+
+    /**
+     * Files a re-armed slot again at (`when`, `seq`) with its closure
+     * and generation untouched, so its handles stay valid. Counts as a
+     * schedule, exactly as the Push it replaces. `when` must not be
+     * earlier than the popped event's time.
+     */
+    void
+    Refile(const Popped& popped, TimePoint when, std::uint64_t seq)
+    {
+        assert(when >= last_);
+        EventKey& k = *popped.key;
+        k.when = when;
+        k.seq = seq;
+        File(popped.index, k);
+        Admitted();
+    }
+
+    /** Destroys a re-armed closure that will not run again (the
+     *  pending limit refused its re-arm) and recycles its slot. */
+    void
+    Discard(const Popped& popped)
+    {
+        popped.fn->Reset();
+        Recycle(popped);
     }
 
     /**
@@ -547,6 +666,28 @@ class EventArena
             }
         }
         return true;
+    }
+
+    /** Counts one more pending event (a Push or a Refile). */
+    void
+    Admitted()
+    {
+        ++live_;
+        ++stats_.scheduled;
+        if (live_ > stats_.peak_pending) {
+            stats_.peak_pending = live_;
+        }
+    }
+
+    /** Pushes a fired slot, its closure already destroyed, on the free
+     *  list; the generation bump invalidates its handles. */
+    void
+    Recycle(const Popped& popped)
+    {
+        EventKey& k = *popped.key;
+        ++k.generation;
+        k.pos = free_head_;
+        free_head_ = popped.index;
     }
 
     /** Recycles a cancelled slot: bumps its generation (invalidating

@@ -1,6 +1,6 @@
 #include "sim/event_queue.h"
 
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace sol::sim {
@@ -27,10 +27,7 @@ EventQueue::RunUntil(TimePoint horizon)
     detail::EventArena& arena = *arena_;
     detail::EventArena::Popped event;
     while (arena.PopEarliest(horizon, &event)) {
-        now_ = event.when;
-        ++executed_;
-        MixTrace(event.when, event.seq);
-        arena.InvokePopped(event);
+        Fire(arena, event);
     }
     if (horizon > now_ && horizon != kTimeInfinity) {
         now_ = horizon;
@@ -48,14 +45,12 @@ EventQueue::RunUntilIdle(std::uint64_t max_events)
 bool
 EventQueue::Step()
 {
+    detail::EventArena& arena = *arena_;
     detail::EventArena::Popped event;
-    if (!arena_->PopEarliest(kTimeInfinity, &event)) {
+    if (!arena.PopEarliest(kTimeInfinity, &event)) {
         return false;
     }
-    now_ = event.when;
-    ++executed_;
-    MixTrace(event.when, event.seq);
-    arena_->InvokePopped(event);
+    Fire(arena, event);
     return true;
 }
 
@@ -82,8 +77,19 @@ PeriodicTask::PeriodicTask(EventQueue& queue, Duration period,
       fn_(std::move(fn)),
       alive_(ConfinedShared<bool>::Make(true))
 {
-    assert(period_ > Duration::zero());
-    Arm();
+    // A period of zero would re-fire at one instant forever (and a
+    // negative one clamps to zero), so no RunUntil would return.
+    if (period_ <= Duration::zero()) {
+        throw std::invalid_argument("PeriodicTask period must be positive");
+    }
+    next_ = queue_.ScheduleAfter(period_, [this, alive = alive_] {
+        if (!*alive) {
+            return Next::Done();
+        }
+        fn_();
+        // fn_ may have stopped or destroyed this task.
+        return *alive ? Next::After(period_) : Next::Done();
+    });
 }
 
 PeriodicTask::~PeriodicTask()
@@ -96,20 +102,6 @@ PeriodicTask::Stop()
 {
     *alive_ = false;
     next_.Cancel();
-}
-
-void
-PeriodicTask::Arm()
-{
-    next_ = queue_.ScheduleAfter(period_, [this, alive = alive_] {
-        if (!*alive) {
-            return;
-        }
-        fn_();
-        if (*alive) {
-            Arm();
-        }
-    });
 }
 
 }  // namespace sol::sim

@@ -8,6 +8,17 @@
  * instant execute in insertion order, so a fixed seed reproduces a run
  * exactly.
  *
+ * A closure returns void to fire once, or a sim::Next to say when it
+ * wants to run again: Next::After(delay), Next::At(time) or
+ * Next::Done(). Every periodic loop in the runtime — node drivers
+ * (PeriodicTask), agent collect ticks, actuator assessments — is such a
+ * self-re-arming continuation: its closure is built once, and each
+ * re-arm files the slot it already holds again. The re-arm draws its
+ * sequence number when the closure returns, where a ScheduleAfter
+ * written as the closure's last statement would draw it, so the event
+ * order is the same as rebuilding the closure each time. A re-arm
+ * counts as a schedule in every counter and against the pending limit.
+ *
  * Internals (see sim/event_arena.h): events live in arena-allocated slots
  * addressed by 32-bit ids, keys and closure payloads in separate
  * parallel arrays, ordered by a monotone radix queue. A steady event
@@ -15,8 +26,8 @@
  * swap-removes it, and pop takes the current instant's next event or
  * first redistributes the lowest occupied bucket. The schedule/fire
  * path performs no heap allocation (closures up to 24 bytes are stored
- * inline in the recycled slot and fired in place) and no atomic
- * read-modify-write (handles and liveness tokens count references with
+ * inline in the slot and fired in place) and no atomic read-modify-
+ * write (handles and liveness tokens count references with
  * ConfinedShared, see sim/confined_shared.h). Stale handles are
  * invalidated in O(1) by a generation token, and pop order is the
  * strict (time, sequence) total order the seed binary-heap queue used —
@@ -49,6 +60,12 @@ namespace sol::sim {
  * was already cancelled) is a harmless no-op — the generation token in
  * the handle can never match a recycled slot. Handles may outlive the
  * queue; every operation on a stale handle is safe and does nothing.
+ *
+ * The handle of a self-re-arming event names every occurrence: it is
+ * pending() between firings, and Cancel() removes the pending one and
+ * ends the loop. While the event fires it is not pending() and cannot
+ * be cancelled through its handle; the closure returns Next::Done()
+ * to stop itself.
  *
  * A handle shares ownership of the queue's arena through a non-atomic
  * ConfinedShared count, so it must stay on the thread that owns the
@@ -122,7 +139,9 @@ class EventQueue : public Clock
     /** Current virtual time. */
     TimePoint Now() const override { return now_; }
 
-    /** Schedules fn at an absolute virtual time (clamped to >= Now()). */
+    /** Schedules fn at an absolute virtual time (clamped to >= Now()).
+     *  `fn` takes no arguments and returns void (fires once) or
+     *  sim::Next (re-arms in place; see the file comment). */
     template <typename Fn>
     EventHandle
     ScheduleAt(TimePoint when, Fn&& fn)
@@ -163,10 +182,13 @@ class EventQueue : public Clock
      * rejected: the callback is discarded, stats().dropped counts it,
      * and the returned handle reports cancelled().
      *
+     * A refused re-arm counts as a drop too: its closure is destroyed
+     * and the loop ends.
+     *
      * This is an OOM guard rail, not flow control: a drop is *lossy*.
      * Self-rescheduling loops (runtime timeouts, periodic drivers)
-     * whose re-arm event is dropped stay silently stalled for the rest
-     * of the run, so the limit must sit far above the workload's peak
+     * whose re-arm is dropped stay silently stalled for the rest of
+     * the run, so the limit must sit far above the workload's peak
      * (stats().peak_pending) and stats().dropped must be checked —
      * any non-zero value means the run's results are degraded. The
      * fleet drivers surface it as the `fleet.queue.dropped` gauge.
@@ -193,6 +215,28 @@ class EventQueue : public Clock
     EventQueueStats stats() const;
 
   private:
+    /** Fires a popped event and, when its closure re-arms, files the
+     *  same slot again under a sequence number drawn now — after every
+     *  event the closure scheduled — or drops the re-arm at the
+     *  pending limit as a refused schedule. */
+    void
+    Fire(detail::EventArena& arena, const detail::EventArena::Popped& event)
+    {
+        now_ = event.when;
+        ++executed_;
+        MixTrace(event.when, event.seq);
+        const Next next = arena.FirePopped(event);
+        if (!next.rearms()) {
+            return;
+        }
+        if (pending_limit_ != 0 && arena.pending() >= pending_limit_) {
+            ++dropped_;
+            arena.Discard(event);
+            return;
+        }
+        arena.Refile(event, next.When(now_), next_seq_++);
+    }
+
     template <typename Fn>
     EventHandle
     Schedule(TimePoint when, Fn&& fn)
@@ -231,8 +275,8 @@ class EventQueue : public Clock
 };
 
 /**
- * Convenience wrapper that re-schedules a callback at a fixed period until
- * stopped. Used by node drivers and telemetry samplers.
+ * Runs a callback at a fixed period until stopped: one self-re-arming
+ * event, scheduled once. Used by node drivers and telemetry samplers.
  */
 class PeriodicTask
 {
@@ -241,7 +285,8 @@ class PeriodicTask
      * Starts ticking. The first tick fires at start + period.
      *
      * @param queue Event queue that owns time.
-     * @param period Interval between ticks; must be positive.
+     * @param period Interval between ticks; std::invalid_argument
+     *        unless positive (a zero period would never let time pass).
      * @param fn Callback invoked each tick.
      */
     PeriodicTask(EventQueue& queue, Duration period,
@@ -256,13 +301,11 @@ class PeriodicTask
     void Stop();
 
   private:
-    void Arm();
-
     EventQueue& queue_;
     Duration period_;
     std::function<void()> fn_;
     ConfinedShared<bool> alive_;
-    EventHandle next_;
+    EventHandle next_;  ///< Valid across re-arms: set once.
 };
 
 }  // namespace sol::sim

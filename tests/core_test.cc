@@ -109,6 +109,13 @@ TEST(ParseDurationTest, RejectsGarbage)
 {
     EXPECT_THROW(ParseDuration("abc"), std::invalid_argument);
     EXPECT_THROW(ParseDuration("10years"), std::invalid_argument);
+    EXPECT_THROW(ParseDuration("1.2.3ms"), std::invalid_argument);
+    // Past int64 nanoseconds: converting those is undefined behaviour.
+    EXPECT_THROW(ParseDuration("10000000000s"), std::invalid_argument);
+    EXPECT_THROW(ParseDuration("99999999999999999999s"),
+                 std::invalid_argument);
+    EXPECT_THROW(ParseDuration(std::string(400, '9') + "ns"),
+                 std::invalid_argument);
 }
 
 TEST(ParseScheduleTest, ParsesListing3StyleConfig)

@@ -649,6 +649,49 @@ TEST(NodeHealth, ThreadedNodeRejectsNonPositivePeriod)
     EXPECT_EQ(health.Snapshot().num_series(), 0u);
 }
 
+/** Each driver tick set to zero, then to -5 ns: a zero tick would
+ *  re-fire at one instant forever, a negative one clamps to zero. */
+template <typename Check>
+void
+ForEachNonPositiveDriverTick(Check check)
+{
+    using Config = cluster::MultiAgentNodeConfig;
+    for (sim::Duration Config::*tick :
+         {&Config::node_tick, &Config::memory_tick, &Config::channel_tick}) {
+        for (const sim::Duration bad :
+             {sim::Duration::zero(), sim::Nanos(-5)}) {
+            Config config;
+            config.synthetic_agents = 1;
+            config.*tick = bad;
+            check(config);
+        }
+    }
+}
+
+TEST(NodeHealth, RejectsNonPositiveDriverTicks)
+{
+    ForEachNonPositiveDriverTick([](const cluster::MultiAgentNodeConfig& c) {
+        sim::EventQueue queue;
+        cluster::MultiAgentNode node(queue, c);
+        EXPECT_THROW(node.Start(), std::invalid_argument);
+        EXPECT_FALSE(node.started());
+        EXPECT_EQ(queue.stats().scheduled, 0u);  // Nothing was armed.
+    });
+}
+
+TEST(NodeHealth, ThreadedNodeRejectsNonPositiveDriverTicks)
+{
+    ForEachNonPositiveDriverTick([](cluster::MultiAgentNodeConfig c) {
+        // No real agent, so no driver thread would spin on a bad tick
+        // even if Start() let it through.
+        c.run_overclock = c.run_harvest = c.run_memory = c.run_monitor =
+            false;
+        cluster::ThreadedMultiAgentNode<> node(c);
+        EXPECT_THROW(node.Start(), std::invalid_argument);
+        EXPECT_FALSE(node.started());
+    });
+}
+
 // ---- Concurrency (TSan leg repeats HealthConcurrency 20x) ---------------
 
 TEST(HealthConcurrency, SharedStoreSurvivesProducersAndScrapers)

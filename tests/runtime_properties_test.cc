@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -248,7 +249,12 @@ INSTANTIATE_TEST_SUITE_P(Stalls, StallSweepTest,
 //   - a RunUntil that stops short of the next event, then a schedule at
 //     Now() (the queue's lower time bound must not pass the horizon);
 //   - times at and beyond 2^40 ns, through far schedules and clock
-//     leaps.
+//     leaps;
+//   - self-re-arming events (a sim::Next closure), which the reference
+//     models as a fresh schedule drawn after the firing's own children:
+//     zero-delay re-arms behind those children, re-arms At a past time
+//     (clamped to Now()), and cancels through the handle of the first
+//     schedule after the event has re-armed.
 
 constexpr int kChildIdBase = 1'000'000;
 constexpr std::int64_t kFarNs = std::int64_t{1} << 40;
@@ -261,10 +267,65 @@ SpawnsChild(int id)
     return id < kChildIdBase && id % 5 == 0;
 }
 
+/** What an event asks for after a firing: nothing, a re-arm `ns` after
+ *  Now(), or a re-arm At `ns` before Now() (which clamps to Now()). */
+struct RearmRequest {
+    enum class Kind { kDone, kAfter, kAtPast };
+    Kind kind = Kind::kDone;
+    std::int64_t ns = 0;
+};
+
+/**
+ * The seeded re-arm plan both queues follow: one top-level event in
+ * three re-arms, for 2-6 firings in all; each re-arm is zero-delay one
+ * time in five, At a past time one in ten, else 1-3000 ns out. Children
+ * never re-arm.
+ */
+RearmRequest
+RearmAfterFiring(std::uint64_t seed, int id, int firing)
+{
+    if (id >= kChildIdBase) {
+        return {};
+    }
+    const std::uint64_t plan =
+        sim::DeriveStreamSeed(seed, static_cast<std::uint64_t>(id));
+    const int firings = 2 + static_cast<int>((plan >> 8) % 5);
+    if (plan % 3 != 0 || firing >= firings) {
+        return {};
+    }
+    const std::uint64_t h =
+        sim::DeriveStreamSeed(plan, static_cast<std::uint64_t>(firing));
+    const auto ns = static_cast<std::int64_t>((h >> 8) % 3000);
+    switch (h % 10) {
+        case 0:
+        case 1:
+            return {RearmRequest::Kind::kAfter, 0};
+        case 2:
+            return {RearmRequest::Kind::kAtPast, ns};
+        default:
+            return {RearmRequest::Kind::kAfter, 1 + ns};
+    }
+}
+
+/** Folds one executed (time, seq) pair the way EventQueue::trace_hash
+ *  does (FNV-1a over the two words). */
+std::uint64_t
+MixTrace(std::uint64_t hash, std::int64_t when, std::uint64_t seq)
+{
+    constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+    hash ^= static_cast<std::uint64_t>(when);
+    hash *= kFnvPrime;
+    hash ^= seq;
+    hash *= kFnvPrime;
+    return hash;
+}
+
 /** Reference model: the queue semantics in their simplest form. */
 class ReferenceQueue
 {
   public:
+    explicit ReferenceQueue(std::uint64_t seed) : seed_(seed) {}
+
     void
     Schedule(std::int64_t when, int id)
     {
@@ -312,6 +373,7 @@ class ReferenceQueue
     }
 
     std::int64_t now() const { return now_; }
+    std::uint64_t trace_hash() const { return trace_hash_; }
     std::size_t pending() const { return pending_.size(); }
     std::uint64_t scheduled() const { return scheduled_; }
     std::uint64_t cancelled() const { return cancelled_; }
@@ -340,23 +402,36 @@ class ReferenceQueue
         return best;
     }
 
+    /** Runs an entry: its child first, then (a re-arm) a fresh
+     *  schedule under the same id, so its seq follows the child's. */
     void
     Fire(std::vector<Entry>::iterator it)
     {
         now_ = std::max(now_, it->when);
         const int id = it->id;
+        trace_hash_ = MixTrace(trace_hash_, it->when, it->seq);
         pending_.erase(it);
         executed_order_.push_back(id);
         if (SpawnsChild(id)) {
             Schedule(now_, id + kChildIdBase);
         }
+        const RearmRequest next =
+            RearmAfterFiring(seed_, id, ++firings_[id]);
+        if (next.kind == RearmRequest::Kind::kAfter) {
+            Schedule(now_ + next.ns, id);
+        } else if (next.kind == RearmRequest::Kind::kAtPast) {
+            Schedule(now_ - next.ns, id);
+        }
     }
 
+    std::uint64_t seed_;
+    std::map<int, int> firings_;
     std::vector<Entry> pending_;
     std::uint64_t next_seq_ = 0;
     std::uint64_t scheduled_ = 0;
     std::uint64_t cancelled_ = 0;
     std::int64_t now_ = 0;
+    std::uint64_t trace_hash_ = 0xcbf29ce484222325ull;
     std::vector<int> executed_order_;
 };
 
@@ -367,6 +442,11 @@ struct EdgeCoverage {
     int short_stop_schedules = 0;  ///< Schedule at Now() after RunUntil
                                    ///< stopped short of pending events.
     int far_fires = 0;          ///< Ops firing events at >= 2^40 ns.
+    int rearms = 0;             ///< Re-arms returned by closures.
+    int zero_delay_rearms = 0;  ///< ... with a zero delay.
+    int past_rearms = 0;        ///< ... At a past time (clamped).
+    int cancels_after_rearm = 0;  ///< First-schedule handle cancelling
+                                  ///< an event after it re-armed.
 };
 
 /** Runs the seeded op stream against both queues, checking lockstep
@@ -377,10 +457,11 @@ RunDifferential(std::uint64_t seed, int num_ops,
                 EdgeCoverage* coverage)
 {
     EventQueue queue;
-    ReferenceQueue reference;
+    ReferenceQueue reference(seed);
     sim::Rng rng(seed);
 
     std::vector<int> executed_order;
+    std::map<int, int> firings;  // Per event id.
     std::vector<std::pair<int, sim::EventHandle>> handles;
     std::vector<std::size_t> last_burst;  // Indices into `handles`.
     std::int64_t last_burst_time = -1;
@@ -388,26 +469,59 @@ RunDifferential(std::uint64_t seed, int num_ops,
     int next_id = 0;
     bool stopped_short = false;
 
+    struct Context {
+        std::uint64_t seed;
+        EventQueue* queue;
+        std::vector<int>* order;
+        std::map<int, int>* firings;
+        EdgeCoverage* coverage;
+    } context{seed, &queue, &executed_order, &firings, coverage};
+    // One closure per event for its whole life: the firing count lives
+    // in it, so a re-arm that rebuilt or lost the closure would show.
     struct Fire {
         int id;
-        std::vector<int>* order;
-        EventQueue* queue;
-        void
-        operator()() const
+        int fired = 0;
+        Context* ctx;
+        sim::Next
+        operator()()
         {
-            order->push_back(id);
+            ctx->order->push_back(id);
+            (*ctx->firings)[id] = ++fired;
             if (SpawnsChild(id)) {
-                queue->ScheduleAfter(sim::Duration::zero(),
-                                     Fire{id + kChildIdBase, order, queue});
+                ctx->queue->ScheduleAfter(sim::Duration::zero(),
+                                          Fire{id + kChildIdBase, 0, ctx});
             }
+            const RearmRequest next = RearmAfterFiring(ctx->seed, id, fired);
+            if (next.kind == RearmRequest::Kind::kDone) {
+                return sim::Next::Done();
+            }
+            ++ctx->coverage->rearms;
+            if (next.kind == RearmRequest::Kind::kAtPast) {
+                ++ctx->coverage->past_rearms;
+                return sim::Next::At(ctx->queue->Now() - sim::Nanos(next.ns));
+            }
+            if (next.ns == 0) {
+                ++ctx->coverage->zero_delay_rearms;
+            }
+            return sim::Next::After(sim::Nanos(next.ns));
         }
     };
     const auto schedule = [&](std::int64_t when) {
         const int id = next_id++;
         handles.emplace_back(
             id, queue.ScheduleAt(sim::TimePoint(sim::Nanos(when)),
-                                 Fire{id, &executed_order, &queue}));
+                                 Fire{id, 0, &context}));
         reference.Schedule(when, id);
+    };
+    // A cancel through the first schedule's handle; counts the cancels
+    // that removed an event which had already fired and re-armed.
+    const auto cancel = [&](int id, sim::EventHandle& handle) {
+        const bool was_pending = handle.pending();
+        handle.Cancel();
+        if (was_pending && firings[id] > 0) {
+            ++coverage->cancels_after_rearm;
+        }
+        return was_pending;
     };
 
     for (int op = 0; op < num_ops; ++op) {
@@ -447,8 +561,7 @@ RunDifferential(std::uint64_t seed, int num_ops,
             if (!handles.empty()) {
                 auto& [id, handle] =
                     handles[rng.NextBelow(handles.size())];
-                const bool was_pending = handle.pending();
-                handle.Cancel();
+                const bool was_pending = cancel(id, handle);
                 const bool ref_effect = reference.Cancel(id);
                 ASSERT_EQ(was_pending, ref_effect)
                     << "handle/reference liveness disagreed for " << id;
@@ -458,7 +571,6 @@ RunDifferential(std::uint64_t seed, int num_ops,
             // clock already stands at the burst and part of it fired.
             auto& [id, handle] =
                 handles[last_burst[rng.NextBelow(last_burst.size())]];
-            const bool was_pending = handle.pending();
             const bool mid_burst =
                 queue.Now().count() == last_burst_time &&
                 std::any_of(last_burst.begin(), last_burst.end(),
@@ -468,7 +580,7 @@ RunDifferential(std::uint64_t seed, int num_ops,
                                                  handles[h].first) !=
                                        executed_order.end();
                             });
-            handle.Cancel();
+            const bool was_pending = cancel(id, handle);
             const bool ref_effect = reference.Cancel(id);
             ASSERT_EQ(was_pending, ref_effect)
                 << "burst cancel disagreed for " << id;
@@ -499,6 +611,8 @@ RunDifferential(std::uint64_t seed, int num_ops,
             << "clocks diverged at op " << op;
         ASSERT_EQ(queue.pending(), reference.pending())
             << "pending diverged at op " << op;
+        ASSERT_EQ(queue.stats().scheduled, reference.scheduled())
+            << "scheduled diverged at op " << op;
         ASSERT_EQ(executed_order.size(),
                   reference.executed_order().size())
             << "executed count diverged at op " << op;
@@ -510,6 +624,7 @@ RunDifferential(std::uint64_t seed, int num_ops,
     while (reference.Step()) {
     }
     EXPECT_EQ(executed_order, reference.executed_order());
+    EXPECT_EQ(queue.trace_hash(), reference.trace_hash());
 
     const sim::EventQueueStats stats = queue.stats();
     EXPECT_EQ(stats.scheduled, reference.scheduled());
@@ -545,6 +660,10 @@ TEST_P(EventQueueDifferentialTest, MatchesSortedVectorReference)
     EXPECT_GT(coverage.mid_burst_cancels, 0);
     EXPECT_GT(coverage.short_stop_schedules, 0);
     EXPECT_GT(coverage.far_fires, 0);
+    EXPECT_GT(coverage.rearms, 0);
+    EXPECT_GT(coverage.zero_delay_rearms, 0);
+    EXPECT_GT(coverage.past_rearms, 0);
+    EXPECT_GT(coverage.cancels_after_rearm, 0);
 
     // The same seed must replay the same order and trace fingerprint.
     std::vector<int> order2;

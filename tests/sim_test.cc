@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/confined_shared.h"
@@ -532,6 +535,190 @@ TEST(EventQueueTest, StatsTrackLifetimeCounters)
     EXPECT_GT(stats.arena_capacity, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Self-re-arming events
+// ---------------------------------------------------------------------------
+
+/** How often a Counted closure was built (constructed, copied or
+ *  moved) and destroyed. */
+struct Lifetimes {
+    int built = 0;
+    int destroyed = 0;
+};
+
+/** Wraps a closure and counts its builds and destructions; `kPad`
+ *  extra bytes push it past the inline buffer onto the heap. */
+template <typename Fn, std::size_t kPad = 0>
+struct Counted {
+    Counted(Lifetimes* lifetimes, Fn closure)
+        : life(lifetimes), fn(std::move(closure))
+    {
+        ++life->built;
+    }
+    Counted(const Counted& other) : life(other.life), fn(other.fn)
+    {
+        ++life->built;
+    }
+    Counted(Counted&& other) noexcept
+        : life(other.life), fn(std::move(other.fn))
+    {
+        ++life->built;
+    }
+    ~Counted() { ++life->destroyed; }
+    Counted& operator=(const Counted&) = delete;
+
+    auto operator()() { return fn(); }
+
+    Lifetimes* life;
+    Fn fn;
+    std::array<unsigned char, kPad> pad{};
+};
+
+template <std::size_t kPad>
+void
+ExpectBuiltOnceAcrossFirings()
+{
+    EventQueue queue;
+    Lifetimes life;
+    int fired = 0;
+    const auto loop = [&fired] {
+        return ++fired < 1000 ? Next::After(Millis(1)) : Next::Done();
+    };
+    using Closure = Counted<decltype(loop), kPad>;
+    // Padded closures box on the heap; the others are built inline.
+    static_assert((sizeof(Closure) > detail::InlineEvent::kInlineBytes) ==
+                  (kPad > 0));
+    queue.ScheduleAfter(Millis(1), Closure(&life, loop));
+    // One build in the slot (beside the temporary, already destroyed).
+    const Lifetimes scheduled = life;
+    EXPECT_EQ(scheduled.built - scheduled.destroyed, 1);
+    queue.RunUntil(Seconds(10));
+    EXPECT_EQ(fired, 1000);
+    EXPECT_EQ(life.built, scheduled.built);  // Never rebuilt.
+    EXPECT_EQ(life.destroyed, scheduled.destroyed + 1);  // Once, on Done.
+    const EventQueueStats stats = queue.stats();
+    EXPECT_EQ(stats.executed, 1000u);
+    EXPECT_EQ(stats.scheduled, 1000u);  // Each re-arm is a schedule.
+    EXPECT_EQ(stats.pending, 0u);
+    EXPECT_EQ(stats.peak_pending, 1u);
+}
+
+TEST(RearmTest, ClosureIsBuiltOnceAcrossItsFirings)
+{
+    ExpectBuiltOnceAcrossFirings<0>();
+    ExpectBuiltOnceAcrossFirings<32>();
+}
+
+TEST(RearmTest, FirstHandleCancelsTheLoopBetweenFirings)
+{
+    EventQueue queue;
+    int fired = 0;
+    bool pending_while_firing = true;
+    EventHandle handle;
+    handle = queue.ScheduleAfter(Millis(1), [&] {
+        ++fired;
+        pending_while_firing = handle.pending();
+        handle.Cancel();  // A firing event cannot cancel itself.
+        return Next::After(Millis(1));
+    });
+    queue.RunUntil(Millis(5) + Micros(500));
+    EXPECT_EQ(fired, 5);
+    EXPECT_FALSE(pending_while_firing);
+    EXPECT_FALSE(handle.cancelled());
+    EXPECT_TRUE(handle.pending());  // The same handle names the re-arm.
+    handle.Cancel();
+    EXPECT_TRUE(handle.cancelled());
+    EXPECT_FALSE(handle.pending());
+    EXPECT_EQ(queue.pending(), 0u);
+    queue.RunUntil(Millis(20));
+    EXPECT_EQ(fired, 5);
+    const EventQueueStats stats = queue.stats();
+    EXPECT_EQ(stats.scheduled, 6u);
+    EXPECT_EQ(stats.executed, 5u);
+    EXPECT_EQ(stats.cancelled, 1u);
+}
+
+TEST(RearmTest, ThrowingClosureIsDestroyedAndItsSlotRecycled)
+{
+    EventQueue queue;
+    Lifetimes life;
+    int fired = 0;
+    const auto loop = [&fired] {
+        if (++fired == 3) {
+            throw std::runtime_error("model crashed");
+        }
+        return Next::After(Millis(1));
+    };
+    EventHandle handle = queue.ScheduleAfter(
+        Millis(1), Counted<decltype(loop)>(&life, loop));
+    EXPECT_EQ(queue.pending(), 1u);
+    EXPECT_THROW(queue.RunUntil(Millis(10)), std::runtime_error);
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(life.built, life.destroyed);
+    EXPECT_EQ(queue.pending(), 0u);
+    EXPECT_FALSE(handle.pending());
+    // The slot went back to the free list with a new generation: the
+    // next event takes it, and the old handle cannot reach that event.
+    int later = 0;
+    EventHandle next = queue.ScheduleAfter(Millis(1), [&later] { ++later; });
+    handle.Cancel();
+    EXPECT_FALSE(handle.cancelled());
+    EXPECT_TRUE(next.pending());
+    queue.RunUntil(Millis(20));
+    EXPECT_EQ(later, 1);
+    EXPECT_EQ(queue.stats().arena_blocks, 1u);
+}
+
+TEST(RearmTest, RearmRefusedByThePendingLimitIsADrop)
+{
+    EventQueue queue;
+    queue.SetPendingLimit(2);
+    queue.ScheduleAt(Seconds(1), [] {});
+    Lifetimes life;
+    int fired = 0;
+    const auto loop = [&queue, &fired] {
+        if (++fired == 3) {
+            queue.ScheduleAt(Seconds(2), [] {});  // Fills the limit.
+        }
+        return Next::After(Millis(1));
+    };
+    EventHandle handle = queue.ScheduleAfter(
+        Millis(1), Counted<decltype(loop)>(&life, loop));
+    queue.RunUntil(Millis(100));
+    // The third re-arm found two events pending: dropped, and the loop
+    // ended there (the overload hole a queue limit opens).
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(queue.stats().dropped, 1u);
+    EXPECT_EQ(life.built, life.destroyed);
+    EXPECT_FALSE(handle.pending());
+    EXPECT_EQ(queue.pending(), 2u);
+    EXPECT_EQ(queue.stats().scheduled, 5u);  // 3 schedules + 2 re-arms.
+}
+
+TEST(RearmTest, ZeroDelayRearmRunsAfterItsOwnSameInstantChildren)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    int fired = 0;
+    queue.ScheduleAt(Millis(1), [&] {
+        order.push_back(0);
+        if (++fired == 3) {
+            return Next::Done();
+        }
+        queue.ScheduleAfter(Duration::zero(), [&order] { order.push_back(1); });
+        queue.ScheduleAt(Millis(0), [&order] { order.push_back(2); });
+        // Zero delay, then At a past time (clamped to now): both run
+        // after the two children just scheduled at this instant.
+        return fired == 1 ? Next::After(Duration::zero())
+                          : Next::At(Millis(0));
+    });
+    queue.ScheduleAt(Millis(1), [&order] { order.push_back(9); });
+    queue.RunUntil(Millis(5));
+    EXPECT_EQ(order, (std::vector<int>{0, 9, 1, 2, 0, 1, 2, 0}));
+    EXPECT_EQ(queue.executed(), 8u);
+    EXPECT_EQ(queue.stats().scheduled, 8u);
+}
+
 TEST(ConfinedSharedTest, LastOwnerDestroysTheObject)
 {
     int destroyed = 0;
@@ -586,6 +773,34 @@ TEST(PeriodicTaskTest, DestructionCancelsPending)
     }
     queue.RunUntil(Millis(100));
     EXPECT_EQ(count, 1);
+}
+
+TEST(PeriodicTaskTest, RejectsNonPositivePeriod)
+{
+    // A zero period would re-fire at one instant forever, and a negative
+    // one clamps to zero; neither may reach the queue.
+    EventQueue queue;
+    EXPECT_THROW(PeriodicTask(queue, Duration::zero(), [] {}),
+                 std::invalid_argument);
+    EXPECT_THROW(PeriodicTask(queue, Nanos(-5), [] {}),
+                 std::invalid_argument);
+    EXPECT_EQ(queue.stats().scheduled, 0u);
+}
+
+TEST(PeriodicTaskTest, StopFromItsOwnTickEndsTheLoop)
+{
+    EventQueue queue;
+    int count = 0;
+    PeriodicTask* self = nullptr;
+    PeriodicTask task(queue, Millis(10), [&] {
+        if (++count == 3) {
+            self->Stop();
+        }
+    });
+    self = &task;
+    queue.RunUntil(Millis(100));
+    EXPECT_EQ(count, 3);
+    EXPECT_EQ(queue.pending(), 0u);
 }
 
 TEST(PeriodicTaskTest, StopLeavesNothingInTheQueue)
