@@ -12,20 +12,21 @@
  * Reported: primary P99, harvested capacity, node energy, and the
  * number of conflicting actuations observed/resolved.
  *
- * Panel 2 scales the arbitrated node to a small fleet via ClusterDriver
- * and reports per-node and aggregate behavior; the full fleet metric
+ * Panel 2 scales the arbitrated node to a small serial fleet (every node
+ * on one virtual clock: a one-shard, one-thread ShardedFleetRunner) and
+ * reports per-node and aggregate behavior; the full fleet metric
  * registry is embedded in this bench's BENCH_fig_interference.json.
  */
 #include <iostream>
 
-#include "cluster/cluster_driver.h"
 #include "cluster/multi_agent_node.h"
+#include "fleet/fleet_runner.h"
 #include "telemetry/metric_registry.h"
 
-using sol::cluster::ClusterConfig;
-using sol::cluster::ClusterDriver;
 using sol::cluster::MultiAgentNode;
 using sol::cluster::MultiAgentNodeConfig;
+using sol::fleet::FleetConfig;
+using sol::fleet::ShardedFleetRunner;
 using sol::telemetry::BenchJson;
 using sol::telemetry::TableWriter;
 
@@ -116,15 +117,17 @@ main()
     // --- Panel 2: the arbitrated node, fleet-scaled. -------------------
     std::cout << "\n=== Fleet: 4 arbitrated nodes, one virtual clock ==="
               << "\n\n";
-    ClusterConfig fleet_config;
+    FleetConfig fleet_config;
     fleet_config.num_nodes = 4;
-    ClusterDriver driver(fleet_config);
-    driver.Run(kDuration);
+    fleet_config.num_shards = 1;  // Every node on one queue.
+    fleet_config.num_threads = 1;
+    ShardedFleetRunner runner(fleet_config);
+    runner.Run(kDuration);
 
     TableWriter fleet_table({"node", "P99 ms", "epochs",
                              "conflicts resolved"});
-    for (std::size_t i = 0; i < driver.num_nodes(); ++i) {
-        MultiAgentNode& node = driver.node(i);
+    for (std::size_t i = 0; i < runner.num_nodes(); ++i) {
+        MultiAgentNode& node = runner.node(i);
         fleet_table.AddRow(
             {node.name(),
              TableWriter::Num(node.primary_workload().PerformanceValue(),
@@ -134,7 +137,7 @@ main()
     }
     fleet_table.Print(std::cout);
 
-    const sol::cluster::FleetStats fleet = driver.Stats();
+    const sol::cluster::FleetStats fleet = runner.Stats();
     std::cout << "\nfleet totals: epochs=" << fleet.total_epochs
               << " actions=" << fleet.total_actions
               << " safeguard_triggers=" << fleet.safeguard_triggers
@@ -143,9 +146,9 @@ main()
     json.AddTable("fleet_nodes", fleet_table);
 
     sol::telemetry::MetricRegistry fleet_metrics;
-    driver.CollectFleetMetrics(fleet_metrics);
+    runner.CollectFleetMetrics(fleet_metrics);
     json.AddMetrics("fleet_metrics", fleet_metrics);
-    driver.Stop();
+    runner.Stop();
 
     json.WriteFile();
     return 0;

@@ -1,12 +1,11 @@
 /**
  * @file
- * Thread-scaling bench for the sharded fleet executor.
+ * Thread-scaling bench for the fleet driver.
  *
- * Where micro_fleet measures the serial fleet (every node interleaved
- * on one queue), fleet_scale measures the thing the sharded runner
- * exists for: the same fleet — 64 nodes × 77 agents, ~4.9k concurrent
- * learning agents — stepped across real worker threads, with hard
- * verdicts:
+ * fleet_scale measures what the sharded runner exists for: a fleet at
+ * the paper's deployment shape — 64 nodes × 77 agents, ~4.9k
+ * concurrent learning agents, one shard per node — stepped across
+ * real worker threads, with hard verdicts:
  *
  *  1. Determinism: the combined fleet trace hash (an order-independent
  *     fold of every shard's per-event (time, sequence) fingerprint)
@@ -21,7 +20,8 @@
  *     fleet window track, all virtual-timestamped) must serialize
  *     byte-identical Chrome JSON across repeated runs AND across
  *     thread counts, must not perturb the simulation (same events,
- *     same fleet hash), and (in --smoke) must cost <= 5% throughput.
+ *     same fleet hash), and (in --smoke) must slow the fixed-work
+ *     base-thread-count run by at most 5% (bench/harness.h).
  *     The widest traced run is written to TRACE_fleet_scale.json
  *     (Perfetto-loadable).
  *
@@ -31,19 +31,19 @@
  * case. Results land in BENCH_fleet_scale.json: the per-thread-count
  * scaling curve plus the determinism, trace, and overhead verdicts.
  */
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fleet/fleet_runner.h"
+#include "harness.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace.h"
 
+using sol::bench::Hex;
 using sol::cluster::FleetStats;
 using sol::fleet::FleetConfig;
 using sol::fleet::ShardedFleetRunner;
@@ -54,21 +54,6 @@ using sol::telemetry::trace::ChromeTraceWriter;
 using sol::telemetry::trace::TraceSession;
 
 namespace {
-
-// Sanitizers multiply the cost of the recorder's atomics far beyond
-// production reality, so the overhead budget is report-only in
-// sanitized builds (every determinism verdict still gates).
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
 
 struct BenchConfig {
     std::size_t num_nodes = 64;
@@ -148,14 +133,6 @@ RunFleet(const BenchConfig& bench, std::size_t threads, bool traced)
     return result;
 }
 
-std::string
-Hex(std::uint64_t value)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << value;
-    return os.str();
-}
-
 }  // namespace
 
 int
@@ -215,8 +192,7 @@ main(int argc, char** argv)
     // --- Flight-recorder legs. Two traced runs at the base thread
     // count (byte-determinism), one at the widest (thread-count
     // invariance of the trace itself), and one extra untraced run at
-    // the base count so the overhead probe starts best-of-2 per side
-    // (it resamples below if the first estimate misses the budget).
+    // the base count so the overhead probe starts best-of-2 per side.
     const std::size_t base_threads = bench.thread_counts.front();
     const std::size_t widest_threads = bench.thread_counts.back();
     RunResult untraced_again =
@@ -306,46 +282,36 @@ main(int argc, char** argv)
                   << traced_a.events << " vs " << base.events << ")\n";
     }
 
-    double untraced_eps =
-        std::max(base.events_per_sec, untraced_again.events_per_sec);
-    double traced_eps =
-        std::max(traced_a.events_per_sec, traced_b.events_per_sec);
-    double overhead = std::max(0.0, 1.0 - traced_eps / untraced_eps);
-    // Sub-second legs mean one noisy scheduling quantum can fake
-    // several percent of "overhead". Before failing, keep sampling
-    // interleaved untraced/traced rounds (best-of-N per side) until
-    // the budget is met or rounds run out.
-    const bool overhead_gated = bench.smoke && !kSanitizedBuild;
-    for (int round = 0; overhead_gated && overhead > 0.05 && round < 3;
-         ++round) {
-        const RunResult u =
-            RunFleet(bench, base_threads, /*traced=*/false);
-        const RunResult t =
-            RunFleet(bench, base_threads, /*traced=*/true);
-        untraced_eps = std::max(untraced_eps, u.events_per_sec);
-        traced_eps = std::max(traced_eps, t.events_per_sec);
-        overhead = std::max(0.0, 1.0 - traced_eps / untraced_eps);
-    }
-    const bool overhead_ok = !overhead_gated || overhead <= 0.05;
-    if (!overhead_ok) {
-        std::cerr << "FAIL: tracer overhead " << overhead * 100.0
-                  << "% exceeds the 5% budget\n";
-    }
+    // Every run reaches the same event count (tracing is
+    // non-perturbing), so wall time compares fixed work.
+    const sol::bench::Overhead overhead = sol::bench::MeasureOverhead(
+        bench.smoke, {base.wall_seconds, untraced_again.wall_seconds},
+        {traced_a.wall_seconds, traced_b.wall_seconds},
+        [&] {
+            return RunFleet(bench, base_threads, /*traced=*/false)
+                .wall_seconds;
+        },
+        [&] {
+            return RunFleet(bench, base_threads, /*traced=*/true)
+                .wall_seconds;
+        });
+    const bool overhead_ok = overhead.Check("tracer");
+    const auto eps = [](std::uint64_t events, double seconds) {
+        return TableWriter::Num(static_cast<double>(events) / seconds, 0);
+    };
 
     std::cout << "\n";
     TableWriter tracer({"leg", "threads", "events", "events/sec",
                         "recorded", "dropped"});
     tracer.AddRow({"untraced", std::to_string(base_threads),
                    std::to_string(base.events),
-                   TableWriter::Num(untraced_eps, 0), "0", "0"});
+                   eps(base.events, overhead.base_seconds), "0", "0"});
     tracer.AddRow({"traced", std::to_string(base_threads),
                    std::to_string(traced_a.events),
-                   TableWriter::Num(traced_eps, 0),
+                   eps(traced_a.events, overhead.probe_seconds),
                    std::to_string(traced_a.trace_recorded),
                    std::to_string(traced_a.trace_dropped)});
-    tracer.AddRow({"overhead", "-", "-",
-                   TableWriter::Num(overhead * 100.0, 2) + "%", "-",
-                   "-"});
+    tracer.AddRow({"overhead", "-", "-", overhead.Percent(), "-", "-"});
     tracer.Print(std::cout);
     json.AddTable("tracer_overhead", tracer);
 
@@ -374,11 +340,7 @@ main(int argc, char** argv)
          trace_repeatable && trace_thread_invariant ? "identical"
                                                     : "DIVERGED",
          trace_nonperturbing ? "unperturbed" : "PERTURBED",
-         TableWriter::Num(overhead * 100.0, 2) + "%" +
-             (!bench.smoke          ? " (report only)"
-              : kSanitizedBuild     ? " (report only: sanitized)"
-              : overhead_ok         ? " (PASS)"
-                                    : " (FAIL)"),
+         overhead.Label(),
          TableWriter::Num(speedup, 2),
          TableWriter::Num(bench.required_speedup, 1),
          scaling_measurable ? "yes" : "no (too few cores)"});

@@ -18,10 +18,10 @@
  *     engine histogram), plus the arbiter's admit and lock-wait
  *     distributions on the threaded node.
  *   - Tracer overhead: the simulated leg runs untraced and traced
- *     (best-of-N each, same fixed virtual horizon, so the wall-clock
- *     delta isolates the recorder cost; extra interleaved rounds run
- *     only when the first estimate misses the budget); the traced run
- *     must not perturb the simulation (identical events and epochs).
+ *     over the same fixed virtual horizon, so the wall-clock slowdown
+ *     isolates the recorder cost (the shared probe in bench/harness.h);
+ *     the traced run must not perturb the simulation (identical events
+ *     and epochs).
  *   - Flight recording: the threaded leg runs with a TraceSession —
  *     one SPSC track per agent thread plus driver/control tracks —
  *     and the run writes TRACE_node_concurrency.json (Perfetto-
@@ -41,7 +41,6 @@
  * Results land in BENCH_node_concurrency.json; the trace in
  * TRACE_node_concurrency.json.
  */
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -51,6 +50,7 @@
 
 #include "cluster/multi_agent_node.h"
 #include "cluster/threaded_multi_agent_node.h"
+#include "harness.h"
 #include "sim/event_queue.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace.h"
@@ -66,21 +66,6 @@ using sol::telemetry::trace::ChromeTraceWriter;
 using sol::telemetry::trace::TraceSession;
 
 namespace {
-
-// Sanitizers multiply the cost of the recorder's atomics far beyond
-// production reality, so the overhead budget is report-only in
-// sanitized builds (the determinism verdicts still gate).
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
 
 struct BenchConfig {
     std::size_t synthetic_agents = 73;  ///< 73 + 4 real = 77 (paper).
@@ -322,22 +307,16 @@ main(int argc, char** argv)
 
     // --- Simulated leg: untraced x2 / traced x2 over the same fixed
     // virtual horizon. Wall time varies with machine noise; events do
-    // not, so best-of events/s is the tracer-overhead probe.
+    // not, so the best wall time per side is the tracer-overhead probe.
     LegResult sim_untraced = RunSimOnce(bench, nullptr, ok, true);
-    {
-        const LegResult again = RunSimOnce(bench, nullptr, ok, false);
-        sim_untraced.wall_seconds =
-            std::min(sim_untraced.wall_seconds, again.wall_seconds);
-    }
+    const double untraced_again =
+        RunSimOnce(bench, nullptr, ok, false).wall_seconds;
     TraceSession sim_session_a;
     TraceSession sim_session_b;
-    LegResult sim_traced = RunSimOnce(bench, &sim_session_a, ok, false);
-    {
-        const LegResult again =
-            RunSimOnce(bench, &sim_session_b, ok, false);
-        sim_traced.wall_seconds =
-            std::min(sim_traced.wall_seconds, again.wall_seconds);
-    }
+    const LegResult sim_traced =
+        RunSimOnce(bench, &sim_session_a, ok, false);
+    const double traced_again =
+        RunSimOnce(bench, &sim_session_b, ok, false).wall_seconds;
 
     if (sim_traced.events != sim_untraced.events ||
         sim_traced.epochs != sim_untraced.epochs) {
@@ -360,32 +339,17 @@ main(int argc, char** argv)
         ok = false;
     }
 
-    double untraced_eps = static_cast<double>(sim_untraced.events) /
-                          sim_untraced.wall_seconds;
-    double traced_eps = static_cast<double>(sim_traced.events) /
-                        sim_traced.wall_seconds;
-    double overhead = std::max(0.0, 1.0 - traced_eps / untraced_eps);
-    // The gate compares two sub-second wall times, so one noisy
-    // scheduling quantum can fake several percent of "overhead". Before
-    // failing, keep sampling interleaved untraced/traced rounds
-    // (best-of-N per side) until the budget is met or rounds run out.
-    const bool overhead_gated = bench.smoke && !kSanitizedBuild;
-    for (int round = 0; overhead_gated && overhead > 0.05 && round < 3;
-         ++round) {
-        const LegResult u = RunSimOnce(bench, nullptr, ok, false);
-        TraceSession scratch;
-        const LegResult t = RunSimOnce(bench, &scratch, ok, false);
-        untraced_eps = std::max(
-            untraced_eps, static_cast<double>(u.events) / u.wall_seconds);
-        traced_eps = std::max(
-            traced_eps, static_cast<double>(t.events) / t.wall_seconds);
-        overhead = std::max(0.0, 1.0 - traced_eps / untraced_eps);
-    }
-    if (overhead_gated && overhead > 0.05) {
-        std::cerr << "FAIL: tracer overhead " << overhead * 100.0
-                  << "% exceeds the 5% budget\n";
-        ok = false;
-    }
+    const sol::bench::Overhead overhead = sol::bench::MeasureOverhead(
+        bench.smoke, {sim_untraced.wall_seconds, untraced_again},
+        {sim_traced.wall_seconds, traced_again},
+        [&] { return RunSimOnce(bench, nullptr, ok, false).wall_seconds; },
+        [&] {
+            TraceSession scratch;
+            return RunSimOnce(bench, &scratch, ok, false).wall_seconds;
+        });
+    ok = overhead.Check("tracer") && ok;
+    // The backend table reports the untraced leg's best wall time.
+    sim_untraced.wall_seconds = overhead.base_seconds;
 
     // --- Threaded leg, flight recorder on: one track per agent thread
     // plus driver/control. This session becomes the trace artifact.
@@ -457,18 +421,20 @@ main(int argc, char** argv)
     std::cout << "\n";
     TableWriter tracer({"leg", "events", "best wall s", "events/sec",
                         "recorded", "dropped"});
+    const auto eps = [](std::uint64_t events, double seconds) {
+        return TableWriter::Num(static_cast<double>(events) / seconds, 0);
+    };
     tracer.AddRow({"untraced", std::to_string(sim_untraced.events),
-                   TableWriter::Num(sim_untraced.wall_seconds, 3),
-                   TableWriter::Num(untraced_eps, 0), "0", "0"});
+                   TableWriter::Num(overhead.base_seconds, 3),
+                   eps(sim_untraced.events, overhead.base_seconds), "0",
+                   "0"});
     tracer.AddRow(
         {"traced", std::to_string(sim_traced.events),
-         TableWriter::Num(sim_traced.wall_seconds, 3),
-         TableWriter::Num(traced_eps, 0),
+         TableWriter::Num(overhead.probe_seconds, 3),
+         eps(sim_traced.events, overhead.probe_seconds),
          std::to_string(sim_session_a.total_recorded()),
          std::to_string(sim_session_a.total_dropped())});
-    tracer.AddRow({"overhead", "-", "-",
-                   TableWriter::Num(overhead * 100.0, 2) + "%", "-",
-                   "-"});
+    tracer.AddRow({"overhead", "-", "-", overhead.Percent(), "-", "-"});
     tracer.Print(std::cout);
     json.AddTable("tracer_overhead", tracer);
 
@@ -480,12 +446,7 @@ main(int argc, char** argv)
                     ok ? "PASS" : "FAIL"});
     verdict.AddRow({"trace determinism",
                     trace_deterministic ? "PASS" : "FAIL"});
-    verdict.AddRow({"tracer overhead",
-                    TableWriter::Num(overhead * 100.0, 2) + "%" +
-                        (!bench.smoke      ? " (report only)"
-                         : kSanitizedBuild ? " (report only: sanitized)"
-                         : overhead <= 0.05 ? " (PASS)"
-                                            : " (FAIL)")});
+    verdict.AddRow({"tracer overhead", overhead.Label()});
     std::cout << "\n";
     verdict.Print(std::cout);
     json.AddTable("verdict", verdict);

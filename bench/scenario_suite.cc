@@ -14,18 +14,19 @@
  *     (safeguard triggers, arbiter conflicts and denials, prediction
  *     drops, short-circuit epochs, epoch-latency percentiles in
  *     virtual ns). CI diffs those tables against the committed golden
- *     baselines in bench/baselines/ via tools/check_bench_verdicts.py,
- *     so a change in what the runtime *does* under a storm — not just
- *     how fast it does it — fails the build.
+ *     baselines in bench/baselines/ via tools/check_goldens.py, so a
+ *     change in what the runtime *does* under a storm — not just how
+ *     fast it does it — fails the build.
  *  3. Health: every run samples the fleet health timeline at each
  *     window boundary and evaluates the default SLO/alert pack. The
  *     timeline hash, sample count, and full alert transition log must
  *     be identical across thread counts and a repeat run; each
  *     scenario must fire its expected_alerts signature (steady_state
  *     must stay silent); HEALTH_scenario_<name>.json is diffed against
- *     committed goldens by tools/check_health_alerts.py. Sampling is
- *     observe-only, gated by an overhead probe (health on vs off on
- *     steady_state, budget 5%) and by the unchanged trace hashes.
+ *     committed goldens by the same tools/check_goldens.py. Sampling
+ *     is observe-only, gated by an overhead probe (health on vs off on
+ *     steady_state, budget 5%; bench/harness.h) and by the unchanged
+ *     trace hashes.
  *
  * --smoke runs the CI shape (the mode the baselines are recorded in);
  * the default full shape is for local investigation. Wall-clock
@@ -33,17 +34,18 @@
  * virtual-time behavior is the product under test.
  */
 #include <algorithm>
-#include <chrono>
+#include <array>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "telemetry/alerting.h"
 #include "telemetry/metric_registry.h"
 #include "workloads/scenarios.h"
 
+using sol::bench::Hex;
 using sol::telemetry::BenchJson;
 using sol::telemetry::TableWriter;
 using sol::workloads::RunScenario;
@@ -57,29 +59,6 @@ using sol::workloads::ScenarioResult;
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
-
-// Sanitizers multiply the cost of the sampler's bookkeeping far beyond
-// production reality, so the overhead budget is report-only in
-// sanitized builds (every determinism and alert verdict still gates).
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-
-std::string
-Hex(std::uint64_t value)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << value;
-    return os.str();
-}
 
 std::string
 Join(const std::vector<std::string>& parts)
@@ -185,7 +164,8 @@ main(int argc, char** argv)
     bool all_deterministic = true;
     bool all_alerts_ok = true;
     std::size_t ran = 0;
-    double steady_health_wall = 0.0;
+    /** steady_state's two health-on runs at one thread. */
+    std::array<double, 2> steady_on_walls = {0.0, 0.0};
 
     for (const Scenario& scenario : ScenarioLibrary()) {
         if (!only.empty() && scenario.name != only) {
@@ -211,7 +191,7 @@ main(int argc, char** argv)
         }
         const ScenarioResult& base = runs.front();
         if (scenario.name == "steady_state") {
-            steady_health_wall = base.wall_seconds;
+            steady_on_walls = {base.wall_seconds, runs.back().wall_seconds};
         }
 
         bool deterministic = true;
@@ -281,8 +261,8 @@ main(int argc, char** argv)
         json.WriteFile();
 
         // The health timeline, alert log, and SLO budgets land in a
-        // separate HEALTH_scenario_<name>.json (separate golden,
-        // separate checker), leaving the BENCH verdict byte-stable.
+        // separate HEALTH_scenario_<name>.json (a separate golden),
+        // leaving the BENCH verdict byte-stable.
         sol::telemetry::HealthReportWriter::WriteFile(
             "scenario_" + scenario.name, base.health_json);
     }
@@ -290,50 +270,28 @@ main(int argc, char** argv)
     summary.Print(std::cout);
     std::cout << "\nBehavior tables land in BENCH_scenario_<name>.json "
               << "and health timelines in HEALTH_scenario_<name>.json; "
-              << "tools/check_bench_verdicts.py and "
-              << "tools/check_health_alerts.py diff them against "
-              << "bench/baselines/ and fail CI on drift.\n";
+              << "tools/check_goldens.py diffs both against "
+              << "bench/baselines/ and fails CI on drift.\n";
 
     // --- Observe-only overhead probe: steady_state with the sampler
-    // and alert engine off vs the health-on wall time measured above.
-    // Sub-second legs mean one noisy scheduling quantum can fake
-    // several percent of "overhead", so keep resampling interleaved
-    // off/on rounds (best-of-N per side) until the budget is met or
-    // rounds run out. Gates only in smoke mode on unsanitized builds.
-    double overhead = 0.0;
+    // and alert engine off vs the health-on runs measured above.
     const bool probe = only.empty() || only == "steady_state";
-    if (probe && steady_health_wall > 0.0) {
-        const Scenario* steady =
-            sol::workloads::FindScenario("steady_state");
-        ScenarioOptions off;
-        off.smoke = smoke;
-        off.health = false;
-        double off_wall = RunScenario(*steady, off).wall_seconds;
-        double on_wall = steady_health_wall;
-        overhead = std::max(0.0, on_wall / off_wall - 1.0);
-        const bool overhead_gated = smoke && !kSanitizedBuild;
-        for (int round = 0; overhead_gated && overhead > 0.05 && round < 3;
-             ++round) {
-            off_wall = std::min(off_wall,
-                                RunScenario(*steady, off).wall_seconds);
-            ScenarioOptions on;
-            on.smoke = smoke;
-            on_wall = std::min(on_wall,
-                               RunScenario(*steady, on).wall_seconds);
-            overhead = std::max(0.0, on_wall / off_wall - 1.0);
-        }
+    if (probe && steady_on_walls[0] > 0.0) {
+        const Scenario& steady =
+            *sol::workloads::FindScenario("steady_state");
+        const auto run_steady = [&steady, smoke](bool health) {
+            ScenarioOptions options;
+            options.smoke = smoke;
+            options.health = health;
+            return RunScenario(steady, options).wall_seconds;
+        };
+        const sol::bench::Overhead overhead = sol::bench::MeasureOverhead(
+            smoke, {run_steady(false), run_steady(false)}, steady_on_walls,
+            [&] { return run_steady(false); },
+            [&] { return run_steady(true); });
         std::cout << "\nhealth sampling overhead (steady_state, on vs "
-                  << "off): " << TableWriter::Num(overhead * 100.0, 2)
-                  << "%"
-                  << (!smoke            ? " (report only)"
-                      : kSanitizedBuild ? " (report only: sanitized)"
-                      : overhead <= 0.05 ? " (PASS)"
-                                         : " (FAIL)")
-                  << "\n";
-        if (overhead_gated && overhead > 0.05) {
-            std::cerr << "FAIL: health sampling overhead "
-                      << TableWriter::Num(overhead * 100.0, 2)
-                      << "% exceeds the 5% budget\n";
+                  << "off): " << overhead.Label() << "\n";
+        if (!overhead.Check("health sampling")) {
             return 1;
         }
     }

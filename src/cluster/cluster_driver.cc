@@ -1,41 +1,6 @@
 #include "cluster/cluster_driver.h"
 
-#include "sim/rng.h"
-
 namespace sol::cluster {
-
-std::uint64_t
-ClusterDriver::DeriveNodeSeed(std::uint64_t base_seed,
-                              std::size_t node_index)
-{
-    return sim::DeriveStreamSeed(base_seed, node_index);
-}
-
-NodeShardConfig
-ClusterDriver::MakeShardConfig(const ClusterConfig& config)
-{
-    NodeShardConfig shard;
-    shard.first_node_index = 0;
-    shard.num_nodes = config.num_nodes;
-    shard.base_seed = config.base_seed;
-    shard.start_stagger = config.start_stagger;
-    shard.queue_pending_limit = config.queue_pending_limit;
-    shard.node = config.node;
-    return shard;
-}
-
-ClusterDriver::ClusterDriver(const ClusterConfig& config)
-    : shard_(MakeShardConfig(config))
-{
-}
-
-void
-ClusterDriver::CollectFleetMetrics(telemetry::MetricRegistry& out)
-{
-    shard_.CollectNodeMetrics(out);
-    WriteFleetScope(out, shard_.Stats(), shard_.num_nodes(),
-                    shard_.queue().stats());
-}
 
 void
 WriteFleetScope(telemetry::MetricRegistry& out, const FleetStats& fleet,

@@ -1,108 +1,28 @@
 /**
  * @file
- * Fleet driver: N multi-agent nodes on one shared event queue.
+ * Fleet-scope gauge writers: the one place the "fleet.*" roll-up and
+ * queue-health gauge names are spelled.
  *
- * The paper's results come from a production fleet; this driver is the
- * repo's scaled-down analogue. Every node gets its own RNG stream
- * (derived from the base seed and the node index) so nodes are
- * statistically independent but the whole fleet is reproducible from
- * one seed. Node agent runtimes are started with a small per-node
- * stagger so the fleet's learning epochs do not beat in lockstep — the
- * same desynchronization real deployments get for free.
- *
- * Since the sharded-fleet work, the per-node stepping lives in
- * cluster::NodeShard; ClusterDriver is the serial, single-shard fleet —
- * one virtual clock, every node interleaved on it, exactly the PR 2
- * semantics. For fleets too large to step on one thread, see
- * fleet::ShardedFleetRunner, which holds many shards and steps them on
- * several threads in fork-join virtual-time windows.
- *
- * Aggregated fleet statistics land in one MetricRegistry: per-node
- * metrics namespaced by node name ("node3.smart-harvest.epochs") plus
- * fleet totals ("fleet.total_epochs", "fleet.conflicts_resolved").
+ * fleet::ShardedFleetRunner is the repo's one fleet driver; a serial
+ * fleet is a runner with one shard and one thread. The file keeps the
+ * name it had when it also held a serial driver because
+ * perfbench/fleet_bench.cc includes it for WriteQueueGauges, and
+ * perfbench changes only together with the benchmark itself.
  */
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
-#include "cluster/multi_agent_node.h"
 #include "cluster/node_shard.h"
 #include "sim/event_queue.h"
 #include "telemetry/metric_registry.h"
 
 namespace sol::cluster {
 
-/** Configuration of a simulated fleet. */
-struct ClusterConfig {
-    std::size_t num_nodes = 4;
-
-    /** Fleet seed; node i runs stream DeriveNodeSeed(base_seed, i). */
-    std::uint64_t base_seed = 1;
-
-    /** Offset between consecutive nodes' agent start times. */
-    sim::Duration start_stagger = sim::Millis(1);
-
-    /**
-     * Backpressure bound on the shared event queue (0 = unlimited).
-     * Million-event fleet runs set this as a guard rail: an event storm
-     * shows up as `fleet.queue.dropped` instead of a silent OOM. Drops
-     * are lossy (an agent whose control event is shed may stall for the
-     * rest of the run — see sim::EventQueue::SetPendingLimit), so set
-     * it far above the expected peak and treat any non-zero
-     * `fleet.queue.dropped` as an invalid run.
-     */
-    std::size_t queue_pending_limit = 0;
-
-    /** Template applied to every node (name/seed overridden per node). */
-    MultiAgentNodeConfig node;
-};
-
-/** Steps N MultiAgentNodes over one shared virtual clock. */
-class ClusterDriver
-{
-  public:
-    explicit ClusterDriver(const ClusterConfig& config);
-
-    /**
-     * Advances the fleet by `span` of virtual time. The first call
-     * schedules every node's staggered start.
-     */
-    void Run(sim::Duration span) { shard_.Run(span); }
-
-    /** Stops every node's agent runtimes. */
-    void Stop() { shard_.Stop(); }
-
-    /** SRE fleet-wide incident response: cleans up every agent. */
-    void CleanUpAll() { shard_.CleanUpAll(); }
-
-    /** Roll-up counters across all nodes. */
-    FleetStats Stats() const { return shard_.Stats(); }
-
-    /**
-     * Aggregates per-node metrics (namespaced by node name) and fleet
-     * totals into `out`.
-     */
-    void CollectFleetMetrics(telemetry::MetricRegistry& out);
-
-    std::size_t num_nodes() const { return shard_.num_nodes(); }
-    MultiAgentNode& node(std::size_t i) { return shard_.node(i); }
-    sim::EventQueue& queue() { return shard_.queue(); }
-
-    /** The per-node seed derivation (exposed for tests). */
-    static std::uint64_t DeriveNodeSeed(std::uint64_t base_seed,
-                                        std::size_t node_index);
-
-  private:
-    static NodeShardConfig MakeShardConfig(const ClusterConfig& config);
-
-    NodeShard shard_;
-};
-
 /**
- * Writes fleet roll-up counters plus one queue's health gauges into a
- * "fleet"-scoped section of `out`. Shared by ClusterDriver (its single
- * queue) and fleet::ShardedFleetRunner (per-shard queue stats summed
- * before the call).
+ * Writes fleet roll-up counters plus the fleet's queue health gauges
+ * (per-shard queue stats summed before the call) into a
+ * "fleet"-scoped section of `out`.
  */
 void WriteFleetScope(telemetry::MetricRegistry& out,
                      const FleetStats& fleet, std::size_t num_nodes,

@@ -1,18 +1,15 @@
 /**
  * @file
- * Shard-steppable core of the fleet drivers: a group of MultiAgentNodes
+ * Shard-steppable core of the fleet driver: a group of MultiAgentNodes
  * on one private event queue.
  *
- * PR 2's ClusterDriver stepped every node of the fleet serially on one
- * shared EventQueue — correct, but a hard scaling wall: one virtual
- * clock means one thread, no matter how many cores the host has. The
- * shard is the extraction of that loop into a self-contained unit:
- * it owns its queue (arena, virtual clock, trace hash), its contiguous
- * slice of the fleet's nodes, and the staggered-start scheduling, so a
- * driver can hold one shard (ClusterDriver — the serial case, exactly
- * as before) or many (fleet::ShardedFleetRunner — each one a work item
- * that any of its threads may claim, stepped in parallel within a
- * virtual-time window).
+ * A shard owns its queue (arena, virtual clock, trace hash), its
+ * contiguous slice of the fleet's nodes, and their staggered-start
+ * scheduling, so it is a self-contained work item.
+ * fleet::ShardedFleetRunner holds one shard (the serial fleet: every
+ * node on one virtual clock, one thread) or many, and any of its
+ * threads may claim a shard and step it to a window's horizon, in
+ * parallel with the other shards.
  *
  * Nodes never exchange events across shards — fleet nodes are
  * statistically independent by construction (per-node RNG streams) —
@@ -89,7 +86,8 @@ struct NodeShardConfig {
     sim::Duration start_stagger = sim::Millis(1);
 
     /** Backpressure bound on this shard's queue (0 = unlimited); see
-     *  ClusterConfig::queue_pending_limit for the drop semantics. */
+     *  fleet::FleetConfig::queue_pending_limit for the drop
+     *  semantics. */
     std::size_t queue_pending_limit = 0;
 
     /**

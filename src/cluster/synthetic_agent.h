@@ -15,8 +15,8 @@
  *
  * Everything is seeded: two derived RNG streams (telemetry and actuation
  * coin flips) make a fleet of synthetic agents bit-reproducible from the
- * node seed, which the million-event determinism checks in
- * bench/micro_fleet and tests/cluster_test.cc rely on.
+ * node seed, which the fleet determinism checks in bench/fleet_scale,
+ * bench/scenario_suite and tests/fleet_test.cc rely on.
  */
 #pragma once
 

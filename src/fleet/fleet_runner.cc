@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "cluster/cluster_driver.h"
 #include "sim/rng.h"
 
 namespace sol::fleet {

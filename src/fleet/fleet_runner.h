@@ -1,18 +1,20 @@
 /**
  * @file
- * Sharded parallel fleet executor: hundreds of 77-agent nodes on real
+ * The fleet driver: N multi-agent nodes in S shards stepped on W
  * threads, bit-deterministic regardless of thread count.
  *
  * The paper's deployment setting is a fleet where every node runs ~77
- * learning agents. cluster::ClusterDriver models that fleet faithfully
- * but steps it serially — one virtual clock, one thread, a hard wall
- * around 8 nodes. ShardedFleetRunner is the scaling layer above it:
+ * learning agents. ShardedFleetRunner steps that fleet at every scale
+ * the repo uses, from the serial fleet (num_shards = 1 and
+ * num_threads = 1: every node interleaved on one queue and one virtual
+ * clock, as bench/fig_interference runs it) to hundreds of nodes on
+ * real threads:
  *
  *  - The fleet is sliced into S shards (cluster::NodeShard), each
  *    owning its own arena-backed sim::EventQueue, virtual clock, trace
  *    hash, and a contiguous slice of the fleet's nodes. Every node
- *    keeps the per-global-index splitmix64 RNG stream and start
- *    stagger it would have had in the serial driver.
+ *    keeps the RNG stream and start stagger of its global index, so
+ *    it behaves the same however the fleet is sliced.
  *  - Fork-join virtual-time windows: the thread that calls Run steps
  *    shards itself beside W - 1 helper threads. Every window, each
  *    thread claims the next unstepped shard from a shared counter,
@@ -43,7 +45,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/cluster_driver.h"
 #include "core/sync.h"
 #include "core/thread_annotations.h"
 #include "cluster/node_shard.h"
@@ -92,8 +93,15 @@ struct FleetConfig {
     /** Offset between consecutive global nodes' agent start times. */
     sim::Duration start_stagger = sim::Millis(1);
 
-    /** Per-shard queue backpressure bound (0 = unlimited); see
-     *  ClusterConfig::queue_pending_limit for drop semantics. */
+    /**
+     * Backpressure bound on each shard's event queue (0 = unlimited).
+     * Million-event fleet runs set this as a guard rail: an event storm
+     * shows up as `fleet.queue.dropped` instead of a silent OOM. Drops
+     * are lossy (an agent whose control event is shed may stall for the
+     * rest of the run — see sim::EventQueue::SetPendingLimit), so set
+     * it far above the expected peak and treat any non-zero
+     * `fleet.queue.dropped` as an invalid run.
+     */
     std::size_t queue_pending_limit = 0;
 
     /**
@@ -181,9 +189,8 @@ class ShardedFleetRunner
      *
      * An exception thrown inside a shard (agent callback, allocation
      * failure), on a helper or on the calling thread, is captured and
-     * rethrown here once every thread has finished the window — the
-     * same propagation ClusterDriver::Run gives, instead of
-     * std::terminate. Any exception that escapes a window, a failed
+     * rethrown here once every thread has finished the window,
+     * instead of std::terminate. Any exception that escapes a window, a failed
      * health sample's included, poisons the runner: the shards may be
      * at mixed horizons or the timeline half-appended, so every later
      * Run throws std::logic_error. Destroy the runner instead.

@@ -191,7 +191,7 @@ class EventQueue : public Clock
      * the run, so the limit must sit far above the workload's peak
      * (stats().peak_pending) and stats().dropped must be checked —
      * any non-zero value means the run's results are degraded. The
-     * fleet drivers surface it as the `fleet.queue.dropped` gauge.
+     * fleet driver surfaces it as the `fleet.queue.dropped` gauge.
      */
     void SetPendingLimit(std::size_t limit) { pending_limit_ = limit; }
 

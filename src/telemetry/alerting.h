@@ -189,7 +189,7 @@ std::vector<AlertRule> DefaultFleetAlertRules();
  * and writes it as HEALTH_<name>.json next to the BENCH/TRACE outputs
  * ($SOL_BENCH_JSON_DIR override, "-" disables; the BenchJson rules).
  * Byte-identical across repeat runs and fleet thread counts, so CI
- * diffs it against committed goldens (tools/check_health_alerts.py).
+ * diffs it against committed goldens (tools/check_goldens.py).
  */
 class HealthReportWriter
 {

@@ -112,25 +112,6 @@ MetricRegistry::Series(const std::string& name) const
 }
 
 void
-MetricRegistry::PrintSummary(std::ostream& os) const
-{
-    for (const auto& [name, value] : counters_) {
-        os << "  " << name << " = " << value << "\n";
-    }
-    os << std::fixed << std::setprecision(4);
-    for (const auto& [name, value] : gauges_) {
-        os << "  " << name << " = " << value << "\n";
-    }
-    os.unsetf(std::ios_base::floatfield);
-    for (const auto& [name, histogram] : histograms_) {
-        const LatencySnapshot snapshot = histogram.Snapshot();
-        os << "  " << name << " = n=" << snapshot.count << " p50="
-           << snapshot.p50_ns << " p99=" << snapshot.p99_ns
-           << " max=" << snapshot.max_ns << " ns\n";
-    }
-}
-
-void
 MetricRegistry::PrintSeriesCsv(std::ostream& os,
                                const std::string& name) const
 {

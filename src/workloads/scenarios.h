@@ -19,7 +19,7 @@
  * repeated runs. bench/scenario_suite.cc turns that into a CI gate:
  * each scenario emits BENCH_scenario_<name>.json whose behavior table
  * is diffed against the committed golden baseline by
- * tools/check_bench_verdicts.py — a change in *behavior*, not just
+ * tools/check_goldens.py — a change in *behavior*, not just
  * speed, fails the build. docs/SCENARIOS.md catalogs the knobs and the
  * baseline-update procedure.
  */

@@ -2,7 +2,8 @@
  * @file
  * Tests for the multi-agent node + cluster simulation subsystem:
  * InterferenceArbiter conflict resolution, MultiAgentNode lifecycle and
- * per-agent accounting, and ClusterDriver fleet determinism.
+ * per-agent accounting, synthetic-agent pressure, and the threaded node
+ * backend. Fleet-level tests live in fleet_test.cc.
  */
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/cluster_driver.h"
 #include "cluster/interference_arbiter.h"
 #include "cluster/multi_agent_node.h"
 #include "cluster/threaded_multi_agent_node.h"
@@ -22,8 +22,6 @@ namespace sol {
 namespace {
 
 using cluster::ArbitrationPolicy;
-using cluster::ClusterConfig;
-using cluster::ClusterDriver;
 using cluster::InterferenceArbiter;
 using cluster::InterferenceArbiterConfig;
 using cluster::MultiAgentNode;
@@ -479,56 +477,6 @@ TEST(SyntheticAgents, CleanUpAllReleasesSyntheticHolds)
               node.node().NominalFrequency());
 }
 
-TEST(SyntheticAgents, FleetRunsAreDeterministicAtFullPressure)
-{
-    const auto run = [](std::uint64_t seed) {
-        ClusterConfig config;
-        config.num_nodes = 2;
-        config.base_seed = seed;
-        config.node.synthetic_agents = 73;
-        ClusterDriver driver(config);
-        driver.Run(sim::Seconds(1));
-        struct Result {
-            std::uint64_t trace_hash;
-            std::uint64_t executed;
-            std::uint64_t epochs;
-            std::uint64_t arbiter;
-        } r{driver.queue().trace_hash(), driver.queue().executed(),
-            driver.Stats().total_epochs, driver.Stats().arbiter_requests};
-        driver.Stop();
-        return r;
-    };
-
-    const auto a = run(5);
-    const auto b = run(5);
-    EXPECT_EQ(a.trace_hash, b.trace_hash);
-    EXPECT_EQ(a.executed, b.executed);
-    EXPECT_EQ(a.epochs, b.epochs);
-    EXPECT_EQ(a.arbiter, b.arbiter);
-    EXPECT_EQ(run(5).trace_hash, a.trace_hash);
-    EXPECT_NE(run(6).trace_hash, a.trace_hash);
-
-    // 154 agents on one queue is real pressure, not idle filler.
-    EXPECT_GT(a.executed, 50'000u);
-}
-
-TEST(SyntheticAgents, QueuePendingLimitSurfacesInFleetMetrics)
-{
-    ClusterConfig config;
-    config.num_nodes = 1;
-    config.node.synthetic_agents = 40;
-    config.queue_pending_limit = 32;  // Far below what 44 agents need.
-    ClusterDriver driver(config);
-    driver.Run(sim::Millis(500));
-
-    telemetry::MetricRegistry out;
-    driver.CollectFleetMetrics(out);
-    // The storm is loud: drops are counted, never silently absorbed.
-    EXPECT_GT(out.Gauge("fleet.queue.dropped"), 0.0);
-    EXPECT_LE(out.Gauge("fleet.queue.pending"), 32.0);
-    driver.Stop();
-}
-
 // ---- ThreadedMultiAgentNode (real threads, real clock) -------------------
 
 template <typename Condition>
@@ -691,76 +639,6 @@ TEST(ThreadedMultiAgentNode, SingleAgentRestartWhilePeersRun)
         return node.AgentStats("synthetic1").epochs > stopped_at;
     }));
     node.Stop();
-}
-
-// ---- ClusterDriver -------------------------------------------------------
-
-TEST(ClusterDriver, StepsMultipleNodesOnOneSharedClock)
-{
-    ClusterConfig config;
-    config.num_nodes = 3;
-    ClusterDriver driver(config);
-    driver.Run(sim::Seconds(2));
-
-    const cluster::FleetStats fleet = driver.Stats();
-    EXPECT_GT(fleet.total_epochs, 0u);
-    EXPECT_GT(fleet.total_actions, 0u);
-    for (std::size_t i = 0; i < driver.num_nodes(); ++i) {
-        EXPECT_GT(driver.node(i).TotalEpochs(), 0u)
-            << "node " << i << " made no progress";
-    }
-
-    telemetry::MetricRegistry out;
-    driver.CollectFleetMetrics(out);
-    EXPECT_EQ(out.Gauge("fleet.num_nodes"), 3.0);
-    EXPECT_GT(out.Gauge("fleet.total_epochs"), 0.0);
-    EXPECT_GT(out.Gauge("node0.smart-harvest.epochs"), 0.0);
-    EXPECT_GT(out.Gauge("node2.smart-harvest.epochs"), 0.0);
-    driver.Stop();
-}
-
-TEST(ClusterDriver, PerNodeRngStreamsAreIndependentButReproducible)
-{
-    auto run = [](std::uint64_t base_seed) {
-        ClusterConfig config;
-        config.num_nodes = 2;
-        config.base_seed = base_seed;
-        ClusterDriver driver(config);
-        driver.Run(sim::Seconds(2));
-        std::vector<double> p99;
-        for (std::size_t i = 0; i < driver.num_nodes(); ++i) {
-            p99.push_back(
-                driver.node(i).primary_workload().PerformanceValue());
-        }
-        driver.Stop();
-        return p99;
-    };
-
-    const auto a = run(1);
-    const auto b = run(1);
-    EXPECT_EQ(a, b);  // Same fleet seed => identical fleet trajectory.
-    EXPECT_NE(a[0], a[1]);  // Nodes within a fleet diverge.
-
-    // Distinct per-node seeds come out of the derivation.
-    EXPECT_NE(ClusterDriver::DeriveNodeSeed(1, 0),
-              ClusterDriver::DeriveNodeSeed(1, 1));
-    EXPECT_NE(ClusterDriver::DeriveNodeSeed(1, 0),
-              ClusterDriver::DeriveNodeSeed(2, 0));
-}
-
-TEST(ClusterDriver, CleanUpAllSweepsEveryNode)
-{
-    ClusterConfig config;
-    config.num_nodes = 2;
-    ClusterDriver driver(config);
-    driver.Run(sim::Seconds(2));
-    driver.CleanUpAll();
-    for (std::size_t i = 0; i < driver.num_nodes(); ++i) {
-        MultiAgentNode& node = driver.node(i);
-        EXPECT_EQ(node.node().VmFrequency(node.primary_vm()),
-                  node.node().NominalFrequency());
-        EXPECT_EQ(node.node().GrantedCores(node.elastic_vm()), 0);
-    }
 }
 
 }  // namespace

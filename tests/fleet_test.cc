@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the sharded parallel fleet executor: bit-determinism
- * across thread counts, shard-partition edge cases (empty shard,
- * single-node shard), mid-run node drain, heterogeneous synthetic
- * schedules, the window-boundary shard gauges, and the failure modes
- * of a window (this suite runs under TSan in CI, the runner's cases
- * 20x — see .github/workflows/ci.yml).
+ * Tests for the fleet driver, the sharded parallel fleet executor:
+ * bit-determinism across thread counts, the serial one-shard fleet
+ * (full synthetic pressure, queue backpressure, per-node RNG streams),
+ * shard-partition edge cases (empty shard, single-node shard), mid-run
+ * node drain, heterogeneous synthetic schedules, the window-boundary
+ * shard gauges, and the failure modes of a window (this suite runs
+ * under TSan in CI, the runner's cases 20x — see
+ * .github/workflows/ci.yml).
  */
 #include <gtest/gtest.h>
 
@@ -74,8 +76,9 @@ Fingerprint(ShardedFleetRunner& runner)
 
 TEST(NodeShard, GlobalIndexingMatchesSerialDriver)
 {
-    // A shard owning global nodes [2, 4) must name and seed them
-    // exactly as the serial driver would ("node2", "node3").
+    // A shard owning global nodes [2, 4) must name and seed them by
+    // their global index ("node2", "node3"), as a one-shard fleet
+    // would.
     NodeShardConfig config;
     config.first_node_index = 2;
     config.num_nodes = 2;
@@ -159,9 +162,9 @@ TEST(ShardedFleetRunner, HeterogeneousSchedulesStayDeterministic)
 
 TEST(ShardedFleetRunner, MatchesSerialShardComposition)
 {
-    // One shard holding the whole fleet is the serial ClusterDriver
-    // composition: more threads than shards must neither deadlock nor
-    // change the result.
+    // One shard holding the whole fleet is the serial fleet: more
+    // threads than shards must neither deadlock nor change the
+    // result.
     auto run = [](std::size_t threads) {
         FleetConfig config = SmallFleet(3, threads);
         config.num_shards = 1;
@@ -175,6 +178,75 @@ TEST(ShardedFleetRunner, MatchesSerialShardComposition)
     const FleetFingerprint serial = run(1);
     const FleetFingerprint wide = run(4);
     EXPECT_EQ(serial, wide);
+}
+
+// ---- The serial fleet: one shard, one thread -----------------------------
+
+/** Every node interleaved on one queue, stepped by the calling thread. */
+FleetConfig
+SerialFleet(std::size_t num_nodes, std::uint64_t seed = 1)
+{
+    FleetConfig config;
+    config.num_nodes = num_nodes;
+    config.num_shards = 1;
+    config.num_threads = 1;
+    config.base_seed = seed;
+    return config;
+}
+
+TEST(SyntheticAgents, FleetRunsAreDeterministicAtFullPressure)
+{
+    const auto run = [](std::uint64_t seed) {
+        FleetConfig config = SerialFleet(2, seed);
+        config.node.synthetic_agents = 73;
+        ShardedFleetRunner runner(config);
+        runner.Run(sim::Seconds(1));
+        const FleetFingerprint print = Fingerprint(runner);
+        runner.Stop();
+        return print;
+    };
+
+    const FleetFingerprint a = run(5);
+    EXPECT_EQ(run(5), a);
+    EXPECT_NE(run(6).trace_hash, a.trace_hash);
+
+    // 154 agents on one queue is real pressure, not idle filler.
+    EXPECT_GT(a.executed, 50'000u);
+}
+
+TEST(SyntheticAgents, QueuePendingLimitSurfacesInFleetMetrics)
+{
+    FleetConfig config = SerialFleet(1);
+    config.node.synthetic_agents = 40;
+    config.queue_pending_limit = 32;  // Far below what 44 agents need.
+    ShardedFleetRunner runner(config);
+    runner.Run(sim::Millis(500));
+
+    telemetry::MetricRegistry out;
+    runner.CollectFleetMetrics(out);
+    // The storm is loud: drops are counted, never silently absorbed.
+    EXPECT_GT(out.Gauge("fleet.queue.dropped"), 0.0);
+    EXPECT_LE(out.Gauge("fleet.queue.pending"), 32.0);
+    runner.Stop();
+}
+
+TEST(ShardedFleetRunner, PerNodeRngStreamsAreIndependentButReproducible)
+{
+    const auto run = [](std::uint64_t base_seed) {
+        ShardedFleetRunner runner(SerialFleet(2, base_seed));
+        runner.Run(sim::Seconds(2));
+        std::vector<double> p99;
+        for (std::size_t i = 0; i < runner.num_nodes(); ++i) {
+            p99.push_back(
+                runner.node(i).primary_workload().PerformanceValue());
+        }
+        runner.Stop();
+        return p99;
+    };
+
+    const std::vector<double> a = run(1);
+    EXPECT_EQ(run(1), a);   // Same fleet seed => every node reproduces.
+    EXPECT_NE(a[0], a[1]);  // Nodes within a fleet diverge.
 }
 
 // ---- Shard-partition edge cases ------------------------------------------
