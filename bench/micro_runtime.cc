@@ -102,8 +102,10 @@ BENCHMARK(BM_EventQueueCancelChurn);
 
 // The fleet77_x2 per-shard shape (perfbench measures ~235 pending and a
 // cancel ratio of 0.028 there): 2 streams at 50 us — the node substrate
-// ticks — over 230 agent streams at 10 ms x 2^k, k in 0..7 (10 ms to
-// 1.28 s), plus timeouts armed on ~2.9% of steps and cancelled 64
+// tick and SmartHarvest's collect, which share one phase, so every
+// 50 us the queue pops a two-event instant, as once per node tick in
+// the fleet — over 230 agent streams at 10 ms x 2^k, k in 0..7 (10 ms
+// to 1.28 s), plus timeouts armed on ~2.9% of steps and cancelled 64
 // steps later, long before their deadline, so ~2.8% of all schedules
 // are cancelled. Items are fired events.
 void
@@ -126,15 +128,18 @@ BM_EventQueueFleetMix(benchmark::State& state)
     constexpr std::size_t kStreams = kFast + 230;
     Streams streams;
     sol::sim::Rng rng(1);
+    const auto phase = [&rng](sol::sim::Duration period) {
+        return sol::sim::Duration(static_cast<std::int64_t>(
+            rng.NextBelow(static_cast<std::uint64_t>(period.count()))));
+    };
+    const sol::sim::Duration fast_phase = phase(sol::sim::Micros(50));
     for (std::size_t i = 0; i < kStreams; ++i) {
         const sol::sim::Duration period =
             i < kFast ? sol::sim::Micros(50)
                       : sol::sim::Millis(10) * (1 << rng.NextBelow(8));
         streams.period.push_back(period);
-        streams.queue.ScheduleAfter(
-            sol::sim::Duration(static_cast<std::int64_t>(rng.NextBelow(
-                static_cast<std::uint64_t>(period.count())))),
-            Fire{&streams, i});
+        streams.queue.ScheduleAfter(i < kFast ? fast_phase : phase(period),
+                                    Fire{&streams, i});
     }
     std::deque<sol::sim::EventHandle> timeouts;
     const std::uint64_t before = streams.queue.executed();

@@ -13,12 +13,13 @@
  *    a self-re-arming continuation: when it asks to run again, it
  *    stays built in its slot and the slot is filed again, so a
  *    periodic loop builds its closure once in its whole life.
- *  - EventKey / EventArena: event slots in fixed-size blocks addressed
- *    by dense 32-bit ids and recycled through a free list. The 32-byte
- *    key records — (time, sequence) plus the slot's place in the
- *    queue — live in their own array, two per cache line; the closure
- *    payloads sit in a parallel array and are only touched on schedule
- *    and fire. Generation counters give O(1) handle invalidation:
+ *  - EventKey / EventArena: event slots addressed by dense 32-bit ids
+ *    and recycled through a free list. The 32-byte key records — (time,
+ *    sequence) plus the slot's place in the queue — sit in one
+ *    slot-indexed array, two per cache line, which may move when the
+ *    arena grows; the closure payloads sit in fixed-size blocks that
+ *    never move, and are only touched on schedule and fire.
+ *    Generation counters give O(1) handle invalidation:
  *    freeing a slot bumps its generation, so a stale handle can never
  *    touch a recycled event. A re-armed slot is never freed, so it
  *    keeps its generation and every handle to it stays valid.
@@ -314,15 +315,17 @@ static_assert(sizeof(void*) != 8 || sizeof(InlineEvent) == 32,
               "targets");
 
 /**
- * Block-allocated event slots ordered by a monotone radix queue (see
+ * Arena-allocated event slots ordered by a monotone radix queue (see
  * the file comment).
  *
- * Slots are addressed by dense uint32 ids into fixed-size blocks (never
- * reallocated, so references stay stable while the arena grows) and
- * recycled LIFO through a free list. Each block is a pair of parallel
- * arrays — EventKey records and InlineEvent payloads. The queue orders
- * by (when, seq): strict total order, so same-instant events run in
- * insertion order.
+ * Slots are addressed by dense uint32 ids and recycled LIFO through a
+ * free list. The EventKey records sit in one array indexed by slot id,
+ * so a key lookup is a single load; that array may move when the arena
+ * grows, so no EventKey reference is held across a closure call. The
+ * InlineEvent payloads sit in fixed-size blocks that never move, so a
+ * closure runs in place while it schedules and grows the arena. The
+ * queue orders by (when, seq): strict total order, so same-instant
+ * events run in insertion order.
  *
  * Owned by its EventQueue through a ConfinedShared pointer so that
  * EventHandles may outlive the queue: the queue Close()s the arena as
@@ -343,14 +346,13 @@ class EventArena
     /**
      * Key of the event surfaced by PopEarliest. The payload stays in
      * the arena (slot out of the queue but still allocated) and is run
-     * in place by FirePopped; the cached pointers stay valid until the
-     * slot is recycled because block storage never moves.
+     * in place by FirePopped; the cached payload pointer stays valid
+     * until the slot is recycled because payload blocks never move.
      */
     struct Popped {
         TimePoint when{0};
         std::uint64_t seq = 0;
         std::uint32_t index = kNilEvent;
-        EventKey* key = nullptr;
         InlineEvent* fn = nullptr;
     };
 
@@ -364,8 +366,8 @@ class EventArena
     stats() const
     {
         Stats s = stats_;
-        s.capacity = blocks_.size() * kBlockSize;
-        s.blocks = blocks_.size();
+        s.capacity = keys_.size();
+        s.blocks = fns_.size();
         return s;
     }
 
@@ -423,7 +425,6 @@ class EventArena
                 out->when = k.when;
                 out->seq = k.seq;
                 out->index = index;
-                out->key = &k;
                 out->fn = &payload(index);
                 k.bucket = EventKey::kNoBucket;  // Firing: not cancellable.
                 // The event leaves the pending count here, not when its
@@ -445,10 +446,11 @@ class EventArena
     /**
      * Runs a popped event's closure directly from its (still allocated)
      * slot — one dispatch, no payload relocation — and returns what the
-     * closure asked for. Block storage is address-stable, so the
-     * closure may freely schedule new events (growing the arena) while
-     * it runs; a Cancel() of the firing event through its own handle is
-     * rejected because the slot is in no bucket.
+     * closure asked for. Payload blocks are address-stable, so the
+     * closure may freely schedule new events (growing the arena and
+     * moving the keys) while it runs; a Cancel() of the firing event
+     * through its own handle is rejected because the slot is in no
+     * bucket.
      *
      * A closure that fires once, returns Done() or throws is destroyed
      * and its slot recycled. One that re-arms keeps the slot, out of
@@ -488,7 +490,7 @@ class EventArena
     Refile(const Popped& popped, TimePoint when, std::uint64_t seq)
     {
         assert(when >= last_);
-        EventKey& k = *popped.key;
+        EventKey& k = key(popped.index);
         k.when = when;
         k.seq = seq;
         File(popped.index, k);
@@ -537,7 +539,7 @@ class EventArena
     bool
     IsLive(std::uint32_t index, std::uint32_t generation) const
     {
-        return index < blocks_.size() * kBlockSize &&
+        return index < keys_.size() &&
                key(index).generation == generation &&
                key(index).bucket != EventKey::kNoBucket;
     }
@@ -559,8 +561,9 @@ class EventArena
         // Detach the storage first: a closure's destructor may cancel
         // through a handle into this arena, which must then find it
         // already empty.
-        std::vector<Block> blocks = std::move(blocks_);
-        blocks_.clear();
+        std::vector<std::unique_ptr<InlineEvent[]>> fns = std::move(fns_);
+        fns_.clear();
+        keys_ = {};
         buckets_ = {};
         free_head_ = kNilEvent;
         head_ = 0;
@@ -577,29 +580,12 @@ class EventArena
      *  reallocate at every power of two on the way up. */
     static constexpr std::size_t kMinBucketCapacity = 64;
 
-    /** One block: parallel key/payload arrays of kBlockSize slots. */
-    struct Block {
-        std::unique_ptr<EventKey[]> keys;
-        std::unique_ptr<InlineEvent[]> fns;
-    };
-
-    EventKey&
-    key(std::uint32_t index)
-    {
-        return blocks_[index >> kBlockShift]
-            .keys[index & (kBlockSize - 1)];
-    }
-    const EventKey&
-    key(std::uint32_t index) const
-    {
-        return blocks_[index >> kBlockShift]
-            .keys[index & (kBlockSize - 1)];
-    }
+    EventKey& key(std::uint32_t index) { return keys_[index]; }
+    const EventKey& key(std::uint32_t index) const { return keys_[index]; }
     InlineEvent&
     payload(std::uint32_t index)
     {
-        return blocks_[index >> kBlockShift]
-            .fns[index & (kBlockSize - 1)];
+        return fns_[index >> kBlockShift][index & (kBlockSize - 1)];
     }
 
     /** Appends a slot to the bucket its time selects relative to last_:
@@ -684,7 +670,7 @@ class EventArena
     void
     Recycle(const Popped& popped)
     {
-        EventKey& k = *popped.key;
+        EventKey& k = key(popped.index);
         ++k.generation;
         k.pos = free_head_;
         free_head_ = popped.index;
@@ -692,37 +678,44 @@ class EventArena
 
     /** Recycles a cancelled slot: bumps its generation (invalidating
      *  every handle to the event), destroys the payload, and pushes the
-     *  slot on the free list. */
+     *  slot on the free list. The key is looked up again after the
+     *  payload's destructor, which may schedule and so move the keys. */
     void
     Free(std::uint32_t index)
     {
-        EventKey& k = key(index);
-        ++k.generation;
-        k.bucket = EventKey::kNoBucket;
+        ++key(index).generation;
+        key(index).bucket = EventKey::kNoBucket;
         payload(index).Reset();
-        k.pos = free_head_;
+        key(index).pos = free_head_;
         free_head_ = index;
         --live_;
     }
 
+    /** Adds one payload block and its keys to the free list. Every
+     *  allocation comes before the first change, so a throwing one
+     *  leaves the arena as it was. */
     void
     Grow()
     {
-        const std::size_t block = blocks_.size();
-        assert((block + 1) * kBlockSize < kNilEvent);
-        blocks_.push_back(Block{
-            std::make_unique<EventKey[]>(kBlockSize),
-            std::make_unique<InlineEvent[]>(kBlockSize)});
+        const std::size_t first = keys_.size();
+        assert(first + kBlockSize < kNilEvent);
+        auto fns = std::make_unique<InlineEvent[]>(kBlockSize);
+        if (fns_.size() == fns_.capacity()) {
+            fns_.reserve(2 * fns_.size() + 1);
+        }
+        keys_.resize(first + kBlockSize);
+        fns_.push_back(std::move(fns));  // Reserved: cannot throw.
         // Threaded last-first so the lowest new index pops first.
-        for (std::size_t i = kBlockSize; i-- > 0;) {
-            const auto index =
-                static_cast<std::uint32_t>((block << kBlockShift) | i);
-            key(index).pos = free_head_;
-            free_head_ = index;
+        for (std::size_t i = first + kBlockSize; i-- > first;) {
+            keys_[i].pos = free_head_;
+            free_head_ = static_cast<std::uint32_t>(i);
         }
     }
 
-    std::vector<Block> blocks_;
+    /** keys_[id]: every slot's key record, kBlockSize more per block. */
+    std::vector<EventKey> keys_;
+    /** fns_[id >> kBlockShift][id & (kBlockSize - 1)]: payloads. */
+    std::vector<std::unique_ptr<InlineEvent[]>> fns_;
     /** buckets_[b]: slot ids filed under bit width b of (when ^ last_). */
     std::array<std::vector<std::uint32_t>, kBuckets> buckets_;
     TimePoint last_{0};  ///< Time of the last popped event.

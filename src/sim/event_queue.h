@@ -20,14 +20,14 @@
  * counts as a schedule in every counter and against the pending limit.
  *
  * Internals (see sim/event_arena.h): events live in arena-allocated slots
- * addressed by 32-bit ids, keys and closure payloads in separate
- * parallel arrays, ordered by a monotone radix queue. A steady event
- * costs O(1) work: schedule appends its slot id to a bucket, cancel
- * swap-removes it, and pop takes the current instant's next event or
- * first redistributes the lowest occupied bucket. The schedule/fire
- * path performs no heap allocation (closures up to 24 bytes are stored
- * inline in the slot and fired in place) and no atomic read-modify-
- * write (handles and liveness tokens count references with
+ * addressed by 32-bit ids — keys in one slot-indexed array, closure
+ * payloads in fixed blocks — ordered by a monotone radix queue. A
+ * steady event costs O(1) work: schedule appends its slot id to a
+ * bucket, cancel swap-removes it, and pop takes the current instant's
+ * next event or first redistributes the lowest occupied bucket. The
+ * schedule/fire path performs no heap allocation (closures up to 24
+ * bytes are stored inline in the slot and fired in place) and no atomic
+ * read-modify-write (handles and liveness tokens count references with
  * ConfinedShared, see sim/confined_shared.h). Stale handles are
  * invalidated in O(1) by a generation token, and pop order is the
  * strict (time, sequence) total order the seed binary-heap queue used —

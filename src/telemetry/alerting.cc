@@ -17,9 +17,21 @@ AlertEngine::AddRule(AlertRule rule)
         throw std::invalid_argument("AlertRule needs a name and a series");
     }
     if (rule.kind == AlertKind::kBurnRate &&
-        (rule.total_series.empty() || rule.budget_ppm <= 0)) {
+        (rule.total_series.empty() || rule.budget_ppm <= 0 ||
+         rule.burn_factor_milli <= 0)) {
+        // A burn factor <= 0 puts the bound at or below zero errors.
         throw std::invalid_argument(
-            "kBurnRate rules need total_series and a positive budget_ppm");
+            "kBurnRate rules need total_series, a positive budget_ppm "
+            "and a positive burn_factor_milli");
+    }
+    if (rule.kind != AlertKind::kThreshold &&
+        rule.lookback <= sim::Duration::zero()) {
+        // DeltaOver would read one sample twice: the delta is always 0.
+        throw std::invalid_argument(
+            "kRateOfChange and kBurnRate rules need a positive lookback");
+    }
+    if (rule.hold < sim::Duration::zero()) {
+        throw std::invalid_argument("AlertRule hold must not be negative");
     }
     RuleState state;
     state.rule = std::move(rule);

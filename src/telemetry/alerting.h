@@ -70,14 +70,14 @@ struct AlertRule {
      *  over `lookback`. */
     std::int64_t threshold = 0;
 
-    /** Trailing window for kRateOfChange/kBurnRate. A rule never fires
-     *  while the store lacks a sample at the window start — partial
-     *  windows refuse to extrapolate. */
+    /** Trailing window for kRateOfChange/kBurnRate; must be positive
+     *  there. A rule never fires while the store lacks a sample at the
+     *  window start — partial windows refuse to extrapolate. */
     sim::Duration lookback = sim::Millis(500);
 
     /** Condition must hold continuously this long before the rule
-     *  fires (0 = fire on first observation). Resolution is immediate
-     *  on the first false observation. */
+     *  fires (0 = fire on first observation; negative is rejected).
+     *  Resolution is immediate on the first false observation. */
     sim::Duration hold = sim::Duration::zero();
 
     // --- kBurnRate only ---------------------------------------------------
@@ -89,7 +89,8 @@ struct AlertRule {
     std::int64_t budget_ppm = 0;
 
     /** Fires when the windowed error ratio >= burn_factor_milli/1000 x
-     *  budget (1000 = burning exactly at budget; 2000 = 2x). */
+     *  budget (1000 = burning exactly at budget; 2000 = 2x); must be
+     *  positive. */
     std::int64_t burn_factor_milli = 1000;
 };
 
@@ -126,6 +127,11 @@ struct SloStatus {
 class AlertEngine
 {
   public:
+    /** Adds a rule; std::invalid_argument when it could never work: no
+     *  name or series, a kBurnRate rule without total_series or with a
+     *  non-positive budget_ppm or burn_factor_milli, a non-positive
+     *  lookback on a kRateOfChange or kBurnRate rule, or a negative
+     *  hold. */
     void AddRule(AlertRule rule);
     void AddRules(const std::vector<AlertRule>& rules);
 

@@ -32,6 +32,7 @@
 #include "cluster/threaded_multi_agent_node.h"
 #include "fleet/fleet_runner.h"
 #include "sim/event_queue.h"
+#include "sim/rng.h"
 #include "telemetry/alerting.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/timeseries.h"
@@ -370,6 +371,96 @@ TEST(AlertEngine, RejectsMalformedRules)
     burn.kind = AlertKind::kBurnRate;
     burn.series = "err";  // Missing total_series and budget.
     EXPECT_THROW(engine.AddRule(burn), std::invalid_argument);
+
+    // Windowed rules whose window could never work. A lookback <= 0
+    // makes DeltaOver read the same sample twice, so the delta is
+    // always 0: the rate rule never fires, and the burn rule reads it
+    // as "no activity".
+    AlertRule rate;
+    rate.name = "rate";
+    rate.kind = AlertKind::kRateOfChange;
+    rate.series = "x";
+    rate.threshold = 30;
+    for (const sim::Duration lookback : {sim::Millis(0), sim::Millis(-500)}) {
+        rate.lookback = lookback;
+        EXPECT_THROW(engine.AddRule(rate), std::invalid_argument);
+    }
+    burn.total_series = "total";
+    burn.budget_ppm = 50'000;
+    burn.lookback = sim::Millis(0);
+    EXPECT_THROW(engine.AddRule(burn), std::invalid_argument);
+    // A burn factor <= 0 fires on a stream with zero errors.
+    burn.lookback = sim::Millis(500);
+    for (const std::int64_t factor : {0, -1000}) {
+        burn.burn_factor_milli = factor;
+        EXPECT_THROW(engine.AddRule(burn), std::invalid_argument);
+    }
+    AlertRule held = ThresholdRule("p99", 100);
+    held.hold = sim::Millis(-1);
+    EXPECT_THROW(engine.AddRule(held), std::invalid_argument);
+    EXPECT_EQ(engine.num_rules(), 0u);
+
+    // The same rules with working windows are accepted.
+    rate.lookback = sim::Millis(500);
+    burn.burn_factor_milli = 1000;
+    held.hold = sim::Duration::zero();
+    engine.AddRules({rate, burn, held});
+    EXPECT_EQ(engine.num_rules(), 3u);
+}
+
+TEST(AlertEngine, RandomRulesThrowOrHaveWorkingWindows)
+{
+    // Seeded random rules: each is rejected or has positive windows,
+    // and no accepted burn rule fires on a stream with zero errors.
+    sim::Rng rng(0xa1e47);
+    const auto millis = [&rng](std::int64_t lo, std::int64_t hi) {
+        return sim::Millis(rng.NextInRange(lo, hi));
+    };
+    int accepted_burn_rules = 0;
+    int rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+        AlertRule rule;
+        rule.name = "rule";
+        rule.kind = static_cast<AlertKind>(rng.NextBelow(3));
+        rule.series = "errors";
+        rule.total_series = rng.NextBool(0.9) ? "total" : "";
+        rule.fire_above = rng.NextBool(0.5);
+        rule.threshold = rng.NextInRange(-50, 50);
+        rule.lookback = millis(-1000, 1000);
+        rule.hold = millis(-1000, 1000);
+        rule.budget_ppm = rng.NextInRange(-100'000, 200'000);
+        rule.burn_factor_milli = rng.NextInRange(-2000, 4000);
+        const bool windowed = rule.kind != AlertKind::kThreshold;
+        const bool burn = rule.kind == AlertKind::kBurnRate;
+        const bool malformed =
+            (windowed && rule.lookback <= sim::Duration::zero()) ||
+            rule.hold < sim::Duration::zero() ||
+            (burn && (rule.total_series.empty() || rule.budget_ppm <= 0 ||
+                      rule.burn_factor_milli <= 0));
+        AlertEngine engine;
+        try {
+            engine.AddRule(rule);
+        } catch (const std::invalid_argument&) {
+            EXPECT_TRUE(malformed) << "rule " << i << " rejected";
+            ++rejected;
+            continue;
+        }
+        ASSERT_FALSE(malformed) << "rule " << i << " accepted";
+        if (!burn) {
+            continue;
+        }
+        ++accepted_burn_rules;
+        // 3 s of traffic in 100 ms samples, 100 requests each, no errors.
+        TimeSeriesStore store;
+        for (int t = 100; t <= 3000; t += 100) {
+            store.Append("errors", Ms(t), 0);
+            store.Append("total", Ms(t), t);
+            engine.Evaluate(store, Ms(t));
+        }
+        EXPECT_TRUE(engine.events().empty()) << "rule " << i << " fired";
+    }
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(accepted_burn_rules, 0);
 }
 
 TEST(AlertEngine, DefaultFleetPackIsWellFormed)

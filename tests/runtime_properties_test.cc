@@ -254,10 +254,41 @@ INSTANTIATE_TEST_SUITE_P(Stalls, StallSweepTest,
 //     models as a fresh schedule drawn after the firing's own children:
 //     zero-delay re-arms behind those children, re-arms At a past time
 //     (clamped to Now()), and cancels through the handle of the first
-//     schedule after the event has re-armed.
+//     schedule after the event has re-armed;
+//   - fan-out events, whose first firing schedules 129-300 children —
+//     enough to exhaust the arena's free list, so the arena grows (and
+//     its key records move) while the closure runs — and then re-arms.
 
 constexpr int kChildIdBase = 1'000'000;
+constexpr int kFanOutIdBase = 2'000'000;
+constexpr int kMaxFanOut = 300;
 constexpr std::int64_t kFarNs = std::int64_t{1} << 40;
+
+/** Children a fan-out event schedules on its first firing: 129-300,
+ *  more than one arena block of 128 slots. */
+int
+FanOutSize(std::uint64_t seed, int id)
+{
+    const std::uint64_t h = sim::DeriveStreamSeed(
+        seed ^ 0xfa0u, static_cast<std::uint64_t>(id));
+    return 129 + static_cast<int>(h % (kMaxFanOut - 128));
+}
+
+/** Fan-out child `k`'s id and its delay after its parent's firing:
+ *  zero one time in five, else 1-5000 ns. Children never re-arm. */
+int
+FanOutChildId(int parent, int k)
+{
+    return kFanOutIdBase + parent * (kMaxFanOut + 1) + k;
+}
+
+std::int64_t
+FanOutChildDelay(std::uint64_t seed, int child)
+{
+    const std::uint64_t h = sim::DeriveStreamSeed(
+        seed ^ 0xfa1u, static_cast<std::uint64_t>(child));
+    return h % 5 == 0 ? 0 : 1 + static_cast<std::int64_t>((h >> 8) % 5000);
+}
 
 /** Every fifth scheduled event spawns a zero-delay child when it fires;
  *  children spawn nothing. */
@@ -279,13 +310,16 @@ struct RearmRequest {
  * The seeded re-arm plan both queues follow: one top-level event in
  * three re-arms, for 2-6 firings in all; each re-arm is zero-delay one
  * time in five, At a past time one in ten, else 1-3000 ns out. Children
- * never re-arm.
+ * never re-arm; a fan-out event always re-arms after its fan-out.
  */
 RearmRequest
-RearmAfterFiring(std::uint64_t seed, int id, int firing)
+RearmAfterFiring(std::uint64_t seed, int id, int firing, bool fan_out)
 {
     if (id >= kChildIdBase) {
         return {};
+    }
+    if (fan_out && firing == 1) {
+        return {RearmRequest::Kind::kAfter, 1 + id % 3000};
     }
     const std::uint64_t plan =
         sim::DeriveStreamSeed(seed, static_cast<std::uint64_t>(id));
@@ -327,9 +361,9 @@ class ReferenceQueue
     explicit ReferenceQueue(std::uint64_t seed) : seed_(seed) {}
 
     void
-    Schedule(std::int64_t when, int id)
+    Schedule(std::int64_t when, int id, bool fan_out = false)
     {
-        pending_.push_back({std::max(when, now_), next_seq_++, id});
+        pending_.push_back({std::max(when, now_), next_seq_++, id, fan_out});
         ++scheduled_;
     }
 
@@ -387,6 +421,7 @@ class ReferenceQueue
         std::int64_t when;
         std::uint64_t seq;
         int id;
+        bool fan_out;
     };
 
     std::vector<Entry>::iterator
@@ -402,25 +437,32 @@ class ReferenceQueue
         return best;
     }
 
-    /** Runs an entry: its child first, then (a re-arm) a fresh
-     *  schedule under the same id, so its seq follows the child's. */
+    /** Runs an entry: its children first, then (a re-arm) a fresh
+     *  schedule under the same id, so its seq follows the children's. */
     void
     Fire(std::vector<Entry>::iterator it)
     {
         now_ = std::max(now_, it->when);
         const int id = it->id;
+        const bool fan_out = it->fan_out;
         trace_hash_ = MixTrace(trace_hash_, it->when, it->seq);
         pending_.erase(it);
         executed_order_.push_back(id);
         if (SpawnsChild(id)) {
             Schedule(now_, id + kChildIdBase);
         }
-        const RearmRequest next =
-            RearmAfterFiring(seed_, id, ++firings_[id]);
+        const int firing = ++firings_[id];
+        if (fan_out && firing == 1) {
+            for (int k = 0; k < FanOutSize(seed_, id); ++k) {
+                const int child = FanOutChildId(id, k);
+                Schedule(now_ + FanOutChildDelay(seed_, child), child);
+            }
+        }
+        const RearmRequest next = RearmAfterFiring(seed_, id, firing, fan_out);
         if (next.kind == RearmRequest::Kind::kAfter) {
-            Schedule(now_ + next.ns, id);
+            Schedule(now_ + next.ns, id, fan_out);
         } else if (next.kind == RearmRequest::Kind::kAtPast) {
-            Schedule(now_ - next.ns, id);
+            Schedule(now_ - next.ns, id, fan_out);
         }
     }
 
@@ -447,6 +489,8 @@ struct EdgeCoverage {
     int past_rearms = 0;        ///< ... At a past time (clamped).
     int cancels_after_rearm = 0;  ///< First-schedule handle cancelling
                                   ///< an event after it re-armed.
+    int grew_then_rearmed = 0;  ///< Closures that grew the arena while
+                                ///< firing, then re-armed.
 };
 
 /** Runs the seeded op stream against both queues, checking lockstep
@@ -482,23 +526,38 @@ RunDifferential(std::uint64_t seed, int num_ops,
         int id;
         int fired = 0;
         Context* ctx;
+        bool fan_out = false;
         sim::Next
         operator()()
         {
+            EventQueue& queue = *ctx->queue;
             ctx->order->push_back(id);
             (*ctx->firings)[id] = ++fired;
             if (SpawnsChild(id)) {
-                ctx->queue->ScheduleAfter(sim::Duration::zero(),
-                                          Fire{id + kChildIdBase, 0, ctx});
+                queue.ScheduleAfter(sim::Duration::zero(),
+                                    Fire{id + kChildIdBase, 0, ctx});
             }
-            const RearmRequest next = RearmAfterFiring(ctx->seed, id, fired);
+            const std::size_t blocks = queue.stats().arena_blocks;
+            if (fan_out && fired == 1) {
+                for (int k = 0; k < FanOutSize(ctx->seed, id); ++k) {
+                    const int child = FanOutChildId(id, k);
+                    queue.ScheduleAfter(
+                        sim::Nanos(FanOutChildDelay(ctx->seed, child)),
+                        Fire{child, 0, ctx});
+                }
+            }
+            const RearmRequest next =
+                RearmAfterFiring(ctx->seed, id, fired, fan_out);
             if (next.kind == RearmRequest::Kind::kDone) {
                 return sim::Next::Done();
             }
             ++ctx->coverage->rearms;
+            if (queue.stats().arena_blocks > blocks) {
+                ++ctx->coverage->grew_then_rearmed;
+            }
             if (next.kind == RearmRequest::Kind::kAtPast) {
                 ++ctx->coverage->past_rearms;
-                return sim::Next::At(ctx->queue->Now() - sim::Nanos(next.ns));
+                return sim::Next::At(queue.Now() - sim::Nanos(next.ns));
             }
             if (next.ns == 0) {
                 ++ctx->coverage->zero_delay_rearms;
@@ -506,12 +565,12 @@ RunDifferential(std::uint64_t seed, int num_ops,
             return sim::Next::After(sim::Nanos(next.ns));
         }
     };
-    const auto schedule = [&](std::int64_t when) {
+    const auto schedule = [&](std::int64_t when, bool fan_out = false) {
         const int id = next_id++;
         handles.emplace_back(
             id, queue.ScheduleAt(sim::TimePoint(sim::Nanos(when)),
-                                 Fire{id, 0, &context}));
-        reference.Schedule(when, id);
+                                 Fire{id, 0, &context, fan_out}));
+        reference.Schedule(when, id, fan_out);
     };
     // A cancel through the first schedule's handle; counts the cancels
     // that removed an event which had already fired and re-armed.
@@ -587,10 +646,13 @@ RunDifferential(std::uint64_t seed, int num_ops,
             if (was_pending && mid_burst) {
                 ++coverage->mid_burst_cancels;
             }
-        } else if (choice < 80) {
+        } else if (choice < 79) {
             const bool stepped = queue.Step();
             const bool ref_stepped = reference.Step();
             ASSERT_EQ(stepped, ref_stepped) << "Step at op " << op;
+        } else if (choice < 80) {
+            // A fan-out event 0-5000 ns out.
+            schedule(queue.Now().count() + rng.NextInRange(0, 5000), true);
         } else {
             // Run to a nearby horizon, or (rarely) leap 2^40 ns ahead.
             const std::int64_t span =
@@ -664,6 +726,7 @@ TEST_P(EventQueueDifferentialTest, MatchesSortedVectorReference)
     EXPECT_GT(coverage.zero_delay_rearms, 0);
     EXPECT_GT(coverage.past_rearms, 0);
     EXPECT_GT(coverage.cancels_after_rearm, 0);
+    EXPECT_GT(coverage.grew_then_rearmed, 0);
 
     // The same seed must replay the same order and trace fingerprint.
     std::vector<int> order2;

@@ -719,6 +719,182 @@ TEST(RearmTest, ZeroDelayRearmRunsAfterItsOwnSameInstantChildren)
     EXPECT_EQ(queue.stats().scheduled, 8u);
 }
 
+// A closure that schedules enough events while it fires to exhaust the
+// free list grows the arena under its own feet: one block of 128 slots
+// becomes three, and the key records move each time. Whatever the
+// queue does with the firing slot after the closure returns — re-file
+// it, or recycle it — must reach the slot's current key.
+
+constexpr int kFanOut = 300;
+constexpr int kParent = -1;
+
+/** One firing: the virtual time and who fired (kParent or a child). */
+using Firing = std::pair<std::int64_t, int>;
+
+/** Schedules kFanOut fire-once children, a third each 500 us, 1 ms
+ *  and 1.5 ms after Now(); each records its firing in `log`. */
+void
+ScheduleFanOut(EventQueue& queue, std::vector<Firing>* log)
+{
+    for (int i = 0; i < kFanOut; ++i) {
+        queue.ScheduleAfter(Micros(500 * (1 + i % 3)), [&queue, log, i] {
+            log->emplace_back(queue.Now().count(), i);
+        });
+    }
+}
+
+/** The (time, seq) order of a parent fired at 1 ms with a fan-out,
+ *  then (when `rearmed`) again at 2 ms. The re-arm draws its sequence
+ *  number after every child, so it runs after the 2 ms children. */
+std::vector<Firing>
+FanOutOrder(bool rearmed)
+{
+    std::vector<Firing> expected{{Millis(1).count(), kParent}};
+    for (int offset = 0; offset < 3; ++offset) {
+        for (int i = offset; i < kFanOut; i += 3) {
+            expected.emplace_back(Micros(1500 + 500 * offset).count(), i);
+        }
+        if (rearmed && offset == 1) {
+            expected.emplace_back(Millis(2).count(), kParent);
+        }
+    }
+    return expected;
+}
+
+TEST(ArenaGrowthTest, RearmingClosureThatGrowsTheArenaFiresOnTime)
+{
+    EventQueue queue;
+    std::vector<Firing> log;
+    int fired = 0;
+    EventHandle handle = queue.ScheduleAt(Millis(1), [&] {
+        log.emplace_back(queue.Now().count(), kParent);
+        if (++fired == 1) {
+            ScheduleFanOut(queue, &log);
+        }
+        return Next::After(Millis(1));
+    });
+    EXPECT_EQ(queue.stats().arena_blocks, 1u);
+    queue.RunUntil(Millis(1));
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(queue.stats().arena_blocks, 3u);
+    EXPECT_TRUE(handle.pending());  // Re-filed at 2 ms under its handle.
+    EXPECT_EQ(queue.pending(), 1u + kFanOut);
+    queue.RunUntil(Millis(2) + Micros(500));
+    EXPECT_EQ(fired, 2);
+    EXPECT_TRUE(handle.pending());
+    EXPECT_EQ(log, FanOutOrder(true));
+    handle.Cancel();
+    EXPECT_TRUE(handle.cancelled());
+    EXPECT_EQ(queue.pending(), 0u);
+    queue.RunUntil(Millis(10));
+    EXPECT_EQ(fired, 2);
+    const EventQueueStats stats = queue.stats();
+    EXPECT_EQ(stats.executed, 2u + kFanOut);
+    EXPECT_EQ(stats.scheduled, 3u + kFanOut);  // 2 re-arms.
+    EXPECT_EQ(stats.cancelled, 1u);
+    EXPECT_EQ(stats.arena_blocks, 3u);
+}
+
+TEST(ArenaGrowthTest, FireOnceClosureThatGrowsTheArenaIsRecycled)
+{
+    EventQueue queue;
+    std::vector<Firing> log;
+    EventHandle handle = queue.ScheduleAt(Millis(1), [&] {
+        log.emplace_back(queue.Now().count(), kParent);
+        ScheduleFanOut(queue, &log);
+    });
+    ASSERT_TRUE(queue.Step());
+    EXPECT_EQ(queue.stats().arena_blocks, 3u);
+    EXPECT_FALSE(handle.pending());
+    EXPECT_EQ(queue.pending(), static_cast<std::size_t>(kFanOut));
+    // The parent's slot was the last one freed, so the next event takes
+    // it under a new generation: the old handle cannot reach it.
+    int later = 0;
+    EventHandle next = queue.ScheduleAt(Millis(3), [&later] { ++later; });
+    handle.Cancel();
+    EXPECT_FALSE(handle.cancelled());
+    EXPECT_TRUE(next.pending());
+    queue.RunUntil(Millis(10));
+    EXPECT_EQ(later, 1);
+    EXPECT_EQ(log, FanOutOrder(false));
+    EXPECT_EQ(queue.stats().executed, 2u + kFanOut);
+    EXPECT_EQ(queue.stats().arena_blocks, 3u);
+}
+
+TEST(ArenaGrowthTest, ThrowingClosureThatGrowsTheArenaIsRecycled)
+{
+    EventQueue queue;
+    Lifetimes life;
+    std::vector<Firing> log;
+    const auto grow_then_throw = [&]() -> Next {
+        log.emplace_back(queue.Now().count(), kParent);
+        ScheduleFanOut(queue, &log);
+        throw std::runtime_error("model crashed");
+    };
+    EventHandle handle = queue.ScheduleAt(
+        Millis(1), Counted<decltype(grow_then_throw)>(&life, grow_then_throw));
+    EXPECT_THROW(queue.RunUntil(Millis(10)), std::runtime_error);
+    EXPECT_EQ(life.built, life.destroyed);
+    EXPECT_FALSE(handle.pending());
+    EXPECT_EQ(queue.pending(), static_cast<std::size_t>(kFanOut));
+    EXPECT_EQ(queue.stats().arena_blocks, 3u);
+    int later = 0;
+    EventHandle next = queue.ScheduleAt(Millis(3), [&later] { ++later; });
+    handle.Cancel();
+    EXPECT_FALSE(handle.cancelled());
+    EXPECT_TRUE(next.pending());
+    queue.RunUntil(Millis(10));
+    EXPECT_EQ(later, 1);
+    EXPECT_EQ(log, FanOutOrder(false));
+    EXPECT_EQ(queue.pending(), 0u);
+}
+
+TEST(ArenaGrowthTest, CancelledClosureWhoseDestructorGrowsTheArena)
+{
+    // Cancelling destroys the closure in its slot; a destructor that
+    // schedules grows the arena before the slot reaches the free list.
+    EventQueue queue;
+    std::vector<Firing> log;
+    struct FanOutOnDestroy {
+        EventQueue* queue;
+        std::vector<Firing>* log;
+        bool armed = true;
+        FanOutOnDestroy(EventQueue* q, std::vector<Firing>* l)
+            : queue(q), log(l)
+        {}
+        FanOutOnDestroy(FanOutOnDestroy&& other) noexcept
+            : queue(other.queue), log(other.log)
+        {
+            other.armed = false;
+        }
+        ~FanOutOnDestroy()
+        {
+            if (armed) {
+                ScheduleFanOut(*queue, log);
+            }
+        }
+        void operator()() const {}
+    };
+    queue.RunUntil(Millis(1));
+    EventHandle handle =
+        queue.ScheduleAt(Millis(5), FanOutOnDestroy(&queue, &log));
+    handle.Cancel();
+    EXPECT_TRUE(handle.cancelled());
+    EXPECT_EQ(queue.stats().arena_blocks, 3u);
+    EXPECT_EQ(queue.pending(), static_cast<std::size_t>(kFanOut));
+    // The free list stayed intact: the next two schedules take two
+    // distinct free slots, and every event fires once.
+    int later = 0;
+    queue.ScheduleAt(Millis(3), [&later] { ++later; });
+    queue.ScheduleAt(Millis(3), [&later] { ++later; });
+    queue.RunUntil(Millis(10));
+    EXPECT_EQ(later, 2);
+    std::vector<Firing> expected = FanOutOrder(false);
+    expected.erase(expected.begin());  // The closure never fired.
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(queue.pending(), 0u);
+}
+
 TEST(ConfinedSharedTest, LastOwnerDestroysTheObject)
 {
     int destroyed = 0;
