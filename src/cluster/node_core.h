@@ -59,6 +59,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,8 +68,10 @@
 #include "agents/smartmonitor/smartmonitor.h"
 #include "agents/smartoverclock/smartoverclock.h"
 #include "cluster/interference_arbiter.h"
+#include "cluster/node_totals.h"
 #include "cluster/synthetic_agent.h"
 #include "core/agent_registry.h"
+#include "core/runtime_stats.h"
 #include "core/sync.h"
 #include "node/channel_array.h"
 #include "node/node.h"
@@ -462,13 +465,38 @@ class NodeCore
     }
 
     /** Adds every agent's epoch-duration histogram into `out` — the
-     *  copy-free form of EpochLatencyHistogram() for roll-ups. */
+     *  copy-free form of EpochLatencyHistogram(). */
     void
     MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const
     {
         for (const AgentSlot& slot : slots_) {
             slot.merge_epoch_latency(out);
         }
+    }
+
+    /**
+     * Adds this node's totals into `out`: every agent's counters and
+     * epoch durations, the arbiter's requests and conflicts, the
+     * synthetic actuators' expands, and the agent count. The one read
+     * of a node's counters that every roll-up above the node (shard,
+     * fleet, health sample, scenario result) folds.
+     */
+    void
+    AddTotalsTo(NodeTotals& out) const
+    {
+        for (const AgentSlot& slot : slots_) {
+            out.stats.Accumulate(slot.stats());
+            slot.merge_epoch_latency(out.epochs);
+        }
+        out.arbiter_requests += arbiter_.requests();
+        out.conflicts_observed += arbiter_.conflicts_observed();
+        out.conflicts_resolved += arbiter_.conflicts_resolved();
+        for (const auto& agent : synthetics_) {
+            const SyntheticActuator& actuator = agent->actuator();
+            out.expands_admitted += actuator.expands_admitted();
+            out.expands_denied += actuator.expands_denied();
+        }
+        out.agents += slots_.size();
     }
 
     /** One agent's stats by name (zeros for unknown names, so a
@@ -770,70 +798,36 @@ class NodeCore
             });
     }
 
-    /** Appends one node-health sample under "<name>.", at `at`:
-     *  safeguard/model/data/arbiter counters, halted-vs-active agent
-     *  time, and the merged epoch-latency percentiles. */
+    /** Appends one node-health sample at `at`: the "<name>.*" series
+     *  of AppendHealthSample, epoch latency under
+     *  "<name>.epoch_latency". */
     void
     SampleHealth(sim::TimePoint at)
     {
-        const core::RuntimeStats stats = AggregateStats();
+        NodeTotals totals;
+        AddTotalsTo(totals);
         const std::string p = config_.name.empty() ? "" : config_.name + ".";
-        const auto append = [this, &p, at](const char* series,
-                                           std::uint64_t value) {
-            config_.health->Append(p + series, at,
-                                   static_cast<std::int64_t>(value));
-        };
-        append("safeguard.trips", stats.safeguard_triggers);
-        append("safeguard.mitigations", stats.mitigations);
-        append("model.failures", stats.failed_assessments);
-        append("model.intercepted", stats.intercepted_predictions);
-        append("data.harvested", stats.samples_collected);
-        append("data.invalid", stats.invalid_samples);
-        append("epochs", stats.epochs);
-        append("actions", stats.actions_taken);
-        append("arbiter.requests", arbiter_.requests());
-        append("arbiter.denied", arbiter_.conflicts_resolved());
-        append("agent.halted_ns",
-               static_cast<std::uint64_t>(stats.halted_time.count()));
-        append("agent.active_ns",
-               slots_.size() * static_cast<std::uint64_t>(at.count()));
-        const telemetry::LatencySnapshot e =
-            EpochLatencyHistogram().Snapshot();
-        append("epoch_latency.count", e.count);
-        append("epoch_latency.p50_ns", e.p50_ns);
-        append("epoch_latency.p90_ns", e.p90_ns);
-        append("epoch_latency.p99_ns", e.p99_ns);
-        append("epoch_latency.p999_ns", e.p999_ns);
+        AppendHealthSample(*config_.health, p, p + "epoch_latency", at,
+                           totals);
     }
 
-    /** Snapshots one agent's runtime counters into its namespace. */
+    /** Snapshots one agent's runtime counters into its namespace (the
+     *  halted time in seconds). */
     static void
     WriteAgentRuntimeStats(telemetry::MetricScope scope,
                            const core::RuntimeStats& stats)
     {
-        const auto gauge = [&scope](const char* name, std::uint64_t v) {
-            scope.SetGauge(name, static_cast<double>(v));
-        };
-        gauge("epochs", stats.epochs);
-        gauge("samples_collected", stats.samples_collected);
-        gauge("invalid_samples", stats.invalid_samples);
-        gauge("model_updates", stats.model_updates);
-        gauge("short_circuit_epochs", stats.short_circuit_epochs);
-        gauge("model_assessments", stats.model_assessments);
-        gauge("failed_assessments", stats.failed_assessments);
-        gauge("intercepted_predictions", stats.intercepted_predictions);
-        gauge("predictions_delivered", stats.predictions_delivered);
-        gauge("default_predictions", stats.default_predictions);
-        gauge("expired_predictions", stats.expired_predictions);
-        gauge("dropped_while_halted", stats.dropped_while_halted);
-        gauge("peak_queued_predictions", stats.peak_queued_predictions);
-        gauge("actions_taken", stats.actions_taken);
-        gauge("actions_with_prediction", stats.actions_with_prediction);
-        gauge("actuator_timeouts", stats.actuator_timeouts);
-        gauge("actuator_assessments", stats.actuator_assessments);
-        gauge("safeguard_triggers", stats.safeguard_triggers);
-        gauge("mitigations", stats.mitigations);
-        scope.SetGauge("halted_seconds", sim::ToSeconds(stats.halted_time));
+        core::ForEachCounter(
+            [&scope](const char* name, core::CounterFold,
+                     const auto& value) {
+                if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                             sim::Duration>) {
+                    scope.SetGauge(name, sim::ToSeconds(value));
+                } else {
+                    scope.SetGauge(name, static_cast<double>(value));
+                }
+            },
+            stats);
     }
 };
 

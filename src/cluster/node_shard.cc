@@ -6,36 +6,18 @@
 
 namespace sol::cluster {
 
-void
-FleetStats::Accumulate(const FleetStats& other)
+FleetStats
+FleetStats::Of(const NodeTotals& totals)
 {
-    total_agents += other.total_agents;
-    total_epochs += other.total_epochs;
-    total_actions += other.total_actions;
-    safeguard_triggers += other.safeguard_triggers;
-    arbiter_requests += other.arbiter_requests;
-    conflicts_observed += other.conflicts_observed;
-    conflicts_resolved += other.conflicts_resolved;
-}
-
-void
-HealthTotals::Accumulate(const HealthTotals& other)
-{
-    stats.Accumulate(other.stats);
-    epochs.Merge(other.epochs);
-    arbiter_requests += other.arbiter_requests;
-    arbiter_denied += other.arbiter_denied;
-    agents += other.agents;
-}
-
-void
-HealthTotals::Reset()
-{
-    stats = {};
-    epochs.Reset();
-    arbiter_requests = 0;
-    arbiter_denied = 0;
-    agents = 0;
+    FleetStats fleet;
+    fleet.total_agents = totals.agents;
+    fleet.total_epochs = totals.stats.epochs;
+    fleet.total_actions = totals.stats.actions_taken;
+    fleet.safeguard_triggers = totals.stats.safeguard_triggers;
+    fleet.arbiter_requests = totals.arbiter_requests;
+    fleet.conflicts_observed = totals.conflicts_observed;
+    fleet.conflicts_resolved = totals.conflicts_resolved;
+    return fleet;
 }
 
 NodeShard::NodeShard(const NodeShardConfig& config)
@@ -49,8 +31,7 @@ NodeShard::NodeShard(const NodeShardConfig& config)
             config_.trace_track.empty()
                 ? "shard" + std::to_string(config_.first_node_index)
                 : config_.trace_track;
-        trace_ = config_.trace_session->NewRecorder(
-            track, &queue_, config_.trace_capacity);
+        trace_ = config_.trace_session->NewRecorder(track, &queue_);
     }
     nodes_.reserve(config_.num_nodes);
     for (std::size_t i = 0; i < config_.num_nodes; ++i) {
@@ -105,32 +86,11 @@ NodeShard::CleanUpAll()
     }
 }
 
-FleetStats
-NodeShard::Stats() const
-{
-    FleetStats stats;
-    for (const auto& node : nodes_) {
-        const core::RuntimeStats runtime = node->AggregateStats();
-        stats.total_agents += node->num_agents();
-        stats.total_epochs += runtime.epochs;
-        stats.total_actions += runtime.actions_taken;
-        stats.safeguard_triggers += runtime.safeguard_triggers;
-        stats.arbiter_requests += node->arbiter().requests();
-        stats.conflicts_observed += node->arbiter().conflicts_observed();
-        stats.conflicts_resolved += node->arbiter().conflicts_resolved();
-    }
-    return stats;
-}
-
 void
-NodeShard::AddHealthTo(HealthTotals& out) const
+NodeShard::AddTotalsTo(NodeTotals& out) const
 {
     for (const auto& node : nodes_) {
-        out.stats.Accumulate(node->AggregateStats());
-        node->MergeEpochLatencyInto(out.epochs);
-        out.arbiter_requests += node->arbiter().requests();
-        out.arbiter_denied += node->arbiter().conflicts_resolved();
-        out.agents += node->num_agents();
+        node->AddTotalsTo(out);
     }
 }
 

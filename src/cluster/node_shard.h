@@ -25,15 +25,13 @@
 #include <vector>
 
 #include "cluster/multi_agent_node.h"
-#include "core/runtime_stats.h"
 #include "sim/event_queue.h"
-#include "telemetry/latency_histogram.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace.h"
 
 namespace sol::cluster {
 
-/** Roll-up counters across a group of nodes (shard or whole fleet). */
+/** Fleet-scope counters, projected from a group's NodeTotals. */
 struct FleetStats {
     std::uint64_t total_agents = 0;  ///< Real + synthetic, all nodes.
     std::uint64_t total_epochs = 0;
@@ -43,30 +41,9 @@ struct FleetStats {
     std::uint64_t conflicts_observed = 0;
     std::uint64_t conflicts_resolved = 0;
 
-    /** Field-wise sum, for rolling shard stats up to fleet totals. */
-    void Accumulate(const FleetStats& other);
-};
+    static FleetStats Of(const NodeTotals& totals);
 
-/**
- * What a fleet health sample reads from a group of nodes: every agent's
- * runtime counters, the merged epoch-latency histogram, arbiter
- * admissions and denials, and the agent count. All of it is exact
- * integer sums and bucket-wise histogram adds, so per-shard totals
- * folded in any grouping equal one walk over every node.
- */
-struct HealthTotals {
-    core::RuntimeStats stats;
-    telemetry::LatencyHistogram epochs;
-    std::uint64_t arbiter_requests = 0;
-    std::uint64_t arbiter_denied = 0;
-    std::uint64_t agents = 0;
-
-    /** Adds another group's totals (shard partials into the fleet's). */
-    void Accumulate(const HealthTotals& other);
-
-    /** Zeroes the totals in place; the histogram keeps its storage, so
-     *  a partial reused every sampled window stops allocating. */
-    void Reset();
+    bool operator==(const FleetStats&) const = default;
 };
 
 /** Configuration of one shard: a contiguous slice of the fleet. */
@@ -102,12 +79,9 @@ struct NodeShardConfig {
      */
     telemetry::trace::TraceSession* trace_session = nullptr;
 
-    /** Track name for the shard's recorder; empty derives
-     *  "shard<first_node_index>". */
+    /** Track name for the shard's recorder (session-default ring
+     *  capacity); empty derives "shard<first_node_index>". */
     std::string trace_track;
-
-    /** Ring capacity for the shard's recorder (0 = session default). */
-    std::size_t trace_capacity = 0;
 
     /** Template applied to every node (name/seed overridden per node). */
     MultiAgentNodeConfig node;
@@ -135,13 +109,10 @@ class NodeShard
     /** SRE incident response: cleans up every agent on every node. */
     void CleanUpAll();
 
-    /** Roll-up counters across the shard's nodes. */
-    FleetStats Stats() const;
-
-    /** Adds the shard's nodes' health totals into `out`. Read-only, so
-     *  the worker that just stepped the shard can call it while other
-     *  workers step theirs. */
-    void AddHealthTo(HealthTotals& out) const;
+    /** Adds every node's totals into `out`. Read-only, so the thread
+     *  that just stepped the shard can call it while other threads step
+     *  theirs. */
+    void AddTotalsTo(NodeTotals& out) const;
 
     /** Merges per-node metrics (namespaced by node name) into `out`. */
     void CollectNodeMetrics(telemetry::MetricRegistry& out);

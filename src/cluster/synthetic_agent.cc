@@ -19,6 +19,10 @@ constexpr double kFaultValue = 1e9;
  *  magnitude as the configured ones. */
 constexpr double kMaxPeriodJitter = 0.9;
 
+/** How much denser a burst-profile agent collects: kBurstFactor x the
+ *  samples per epoch at a kBurstFactor x shorter interval. */
+constexpr double kBurstFactor = 4.0;
+
 }  // namespace
 
 SyntheticModel::SyntheticModel(const SyntheticAgentConfig& config,
@@ -215,16 +219,16 @@ MakeSyntheticSchedule(const SyntheticAgentConfig& config)
             schedule.assess_actuator_interval =
                 scale(schedule.assess_actuator_interval);
         }
-        if (config.burst_fraction > 0.0 && config.burst_factor > 1.0 &&
+        if (config.burst_fraction > 0.0 &&
             rng.NextBool(config.burst_fraction)) {
             schedule.data_per_epoch = std::max(
                 1, static_cast<int>(static_cast<double>(
                        schedule.data_per_epoch) *
-                   config.burst_factor));
+                   kBurstFactor));
             const auto dense = static_cast<std::int64_t>(
                 static_cast<double>(
                     schedule.data_collect_interval.count()) /
-                config.burst_factor);
+                kBurstFactor);
             schedule.data_collect_interval =
                 std::max<sim::Duration>(sim::Nanos(dense),
                                         sim::Nanos(1));

@@ -74,13 +74,12 @@ struct SyntheticAgentConfig {
 
     /**
      * Probability (same derived stream) that this agent runs a burst
-     * profile: each epoch collects `burst_factor`× more samples at a
-     * `burst_factor`× shorter interval — the same epoch length, but
-     * the event traffic arrives in dense bursts with quiet actuation
-     * gaps between them. 0 (default) disables burst phases.
+     * profile: each epoch collects 4× more samples at a 4× shorter
+     * interval — the same epoch length, but the event traffic arrives
+     * in dense bursts with quiet actuation gaps between them. 0
+     * (default) disables burst phases.
      */
     double burst_fraction = 0.0;
-    double burst_factor = 4.0;
 
     // --- Behavior ------------------------------------------------------
     /** Fraction of collected samples injected out-of-range, so the

@@ -15,13 +15,17 @@
  * runtimes cannot diverge again: they are scheduling adapters that
  * decide *when* the engine's step functions run, never *what* they do.
  *
- * The runtimes differ only in their policy:
+ * The runtimes differ only in their policy, three types:
  *
- *   - SimEnginePolicy: plain counters, no locking, plain bools. The
- *     event queue serializes everything on one thread.
- *   - ThreadedEnginePolicy: AtomicRuntimeStats (relaxed counters), a
- *     real mutex around the prediction queue + halt flag, and atomic
- *     flags so accessors are safe from any thread.
+ *   - SimEnginePolicy: RuntimeStats (plain counters), NullMutex, and
+ *     plain bools. The event queue serializes everything on one thread.
+ *   - ThreadedEnginePolicy: AtomicRuntimeStats (core::Relaxed
+ *     counters), a real mutex around the prediction queue + halt flag,
+ *     and Relaxed<bool> flags so accessors are safe from any thread.
+ *
+ * Relaxed fields read and write like plain ones, so the engine's code
+ * is one text for both policies: `++stats_.epochs`, `halted_ = true`,
+ * `stats_.halted_time += d`.
  *
  * Unified accounting rules (these resolve the historical drift; the
  * parity suite in tests/runtime_parity_test.cc pins them):
@@ -40,7 +44,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -63,63 +66,6 @@
 #include "telemetry/trace.h"
 
 namespace sol::core {
-
-/** Counter operations over plain RuntimeStats (single-threaded). */
-struct PlainStatsOps {
-    using Stats = RuntimeStats;
-
-    static void Inc(std::uint64_t& counter) { ++counter; }
-
-    /** Increments and returns the new value (epoch numbering). */
-    static std::uint64_t IncGet(std::uint64_t& counter)
-    {
-        return ++counter;
-    }
-
-    static void
-    RaisePeak(std::uint64_t& peak, std::uint64_t value)
-    {
-        if (value > peak) {
-            peak = value;
-        }
-    }
-
-    static void
-    AddHaltedTime(Stats& stats, sim::Duration d)
-    {
-        stats.halted_time += d;
-    }
-};
-
-/** Counter operations over AtomicRuntimeStats (relaxed atomics). */
-struct AtomicStatsOps {
-    using Stats = AtomicRuntimeStats;
-
-    static void
-    Inc(std::atomic<std::uint64_t>& counter)
-    {
-        counter.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    static std::uint64_t
-    IncGet(std::atomic<std::uint64_t>& counter)
-    {
-        return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
-
-    static void
-    RaisePeak(std::atomic<std::uint64_t>& peak, std::uint64_t value)
-    {
-        AtomicRuntimeStats::RaisePeak(peak, value);
-    }
-
-    static void
-    AddHaltedTime(Stats& stats, sim::Duration d)
-    {
-        stats.halted_time_ns.fetch_add(d.count(),
-                                       std::memory_order_relaxed);
-    }
-};
 
 /**
  * FIFO of at most `capacity` elements in storage allocated once, at
@@ -169,31 +115,17 @@ class FixedRing
 
 /** Policy for the event-queue backend: everything single-threaded. */
 struct SimEnginePolicy {
-    using StatsOps = PlainStatsOps;
+    using Stats = RuntimeStats;
     using Mutex = NullMutex;
     using Flag = bool;
-    static bool Get(const Flag& flag) { return flag; }
-    static void Set(Flag& flag, bool value) { flag = value; }
 };
 
 /** Policy for the real-thread backend: relaxed-atomic stats, a real
- *  queue mutex, and atomic flags for cross-thread accessors. */
+ *  queue mutex, and relaxed-atomic flags for cross-thread accessors. */
 struct ThreadedEnginePolicy {
-    using StatsOps = AtomicStatsOps;
+    using Stats = AtomicRuntimeStats;
     using Mutex = core::Mutex;
-    using Flag = std::atomic<bool>;
-
-    static bool
-    Get(const Flag& flag)
-    {
-        return flag.load(std::memory_order_relaxed);
-    }
-
-    static void
-    Set(Flag& flag, bool value)
-    {
-        flag.store(value, std::memory_order_relaxed);
-    }
+    using Flag = Relaxed<bool>;
 };
 
 /**
@@ -231,8 +163,7 @@ template <typename D, typename P, typename Policy>
 class EpochEngine
 {
   public:
-    using StatsOps = typename Policy::StatsOps;
-    using Stats = typename StatsOps::Stats;
+    using Stats = typename Policy::Stats;
 
     /** What CollectOnce decided about the epoch in progress. */
     enum class CollectOutcome {
@@ -278,7 +209,7 @@ class EpochEngine
     OnStart(sim::TimePoint now)
     {
         ScopedLock<typename Policy::Mutex> lock(mutex_);
-        if (Policy::Get(halted_)) {
+        if (halted_) {
             halt_start_ = now;
         }
     }
@@ -289,8 +220,8 @@ class EpochEngine
     OnStop(sim::TimePoint now)
     {
         ScopedLock<typename Policy::Mutex> lock(mutex_);
-        if (Policy::Get(halted_)) {
-            StatsOps::AddHaltedTime(stats_, now - halt_start_);
+        if (halted_) {
+            stats_.halted_time += now - halt_start_;
             halt_start_ = now;
         }
     }
@@ -317,7 +248,7 @@ class EpochEngine
         telemetry::trace::TraceSpan span(model_trace_, "collect",
                                          "engine");
         D data = model_.CollectData();
-        StatsOps::Inc(stats_.samples_collected);
+        ++stats_.samples_collected;
         if (data_fault_) {
             data_fault_(data);
         }
@@ -327,7 +258,7 @@ class EpochEngine
             model_.CommitData(now, data);
             ++valid_samples_;
         } else {
-            StatsOps::Inc(stats_.invalid_samples);
+            ++stats_.invalid_samples;
         }
         span.AddArg("valid", valid ? 1 : 0);
 
@@ -357,14 +288,14 @@ class EpochEngine
     Prediction<P>
     FinishEpoch(sim::TimePoint now, bool enough_data)
     {
-        const std::uint64_t epoch_number = StatsOps::IncGet(stats_.epochs);
+        const std::uint64_t epoch_number = ++stats_.epochs;
         Prediction<P> pred;
         if (enough_data) {
             {
                 telemetry::trace::TraceSpan span(model_trace_,
                                                  "model_update", "engine");
                 model_.UpdateModel();
-                StatsOps::Inc(stats_.model_updates);
+                ++stats_.model_updates;
                 pred = model_.ModelPredict();
             }
 
@@ -374,26 +305,26 @@ class EpochEngine
                     0) {
                 telemetry::trace::TraceSpan span(model_trace_,
                                                  "model_assess", "engine");
-                StatsOps::Inc(stats_.model_assessments);
+                ++stats_.model_assessments;
                 const bool ok = model_.AssessModel();
-                Policy::Set(model_ok_, ok);
+                model_ok_ = ok;
                 span.AddArg("ok", ok ? 1 : 0);
                 if (!ok) {
-                    StatsOps::Inc(stats_.failed_assessments);
+                    ++stats_.failed_assessments;
                     if (model_trace_ != nullptr) {
                         model_trace_->Instant("model_assessment_failed",
                                               "safeguard");
                     }
                 }
             }
-            if (!Policy::Get(model_ok_)) {
+            if (!model_ok_) {
                 // Interception: the Actuator only ever sees predictions
                 // from a model that passes assessment.
                 pred = model_.DefaultPredict();
-                StatsOps::Inc(stats_.intercepted_predictions);
+                ++stats_.intercepted_predictions;
             }
         } else {
-            StatsOps::Inc(stats_.short_circuit_epochs);
+            ++stats_.short_circuit_epochs;
             pred = model_.DefaultPredict();
         }
 
@@ -427,25 +358,24 @@ class EpochEngine
     bool
     Deliver(Prediction<P> pred)
     {
-        StatsOps::Inc(stats_.predictions_delivered);
+        ++stats_.predictions_delivered;
         if (pred.is_default) {
-            StatsOps::Inc(stats_.default_predictions);
+            ++stats_.default_predictions;
         }
         ScopedLock<typename Policy::Mutex> lock(mutex_);
         ++delivery_seq_;
-        if (Policy::Get(halted_)) {
-            StatsOps::Inc(stats_.dropped_while_halted);
+        if (halted_) {
+            ++stats_.dropped_while_halted;
             if (model_trace_ != nullptr) {
                 model_trace_->Instant("prediction_dropped", "safeguard");
             }
             return false;
         }
         pending_.push_back(std::move(pred));
-        StatsOps::RaisePeak(stats_.peak_queued_predictions,
-                            pending_.size());
+        Raise(stats_.peak_queued_predictions, pending_.size());
         while (pending_.size() > options_.max_queued_predictions) {
             pending_.pop_front();
-            StatsOps::Inc(stats_.expired_predictions);
+            ++stats_.expired_predictions;
         }
         return true;
     }
@@ -469,7 +399,7 @@ class EpochEngine
         std::optional<Prediction<P>> pred;
         {
             ScopedLock<typename Policy::Mutex> lock(mutex_);
-            if (Policy::Get(halted_)) {
+            if (halted_) {
                 // Deliveries while halted never queue and the trigger
                 // flushed the queue, so there is nothing to consume.
                 DropPendingLocked();
@@ -488,15 +418,15 @@ class EpochEngine
             !pred->FreshAt(now)) {
             // Stale prediction: the conservative path takes over.
             pred.reset();
-            StatsOps::Inc(stats_.expired_predictions);
+            ++stats_.expired_predictions;
         }
         span.AddArg("with_prediction", pred.has_value() ? 1 : 0);
         actuator_.TakeAction(pred);
-        StatsOps::Inc(stats_.actions_taken);
+        ++stats_.actions_taken;
         if (pred.has_value()) {
-            StatsOps::Inc(stats_.actions_with_prediction);
+            ++stats_.actions_with_prediction;
         } else {
-            StatsOps::Inc(stats_.actuator_timeouts);
+            ++stats_.actuator_timeouts;
         }
         return WakeOutcome::kActed;
     }
@@ -515,38 +445,38 @@ class EpochEngine
     {
         telemetry::trace::TraceSpan span(actuator_trace_,
                                          "assess_actuator", "engine");
-        StatsOps::Inc(stats_.actuator_assessments);
+        ++stats_.actuator_assessments;
         const bool ok = actuator_.AssessPerformance();
         span.AddArg("ok", ok ? 1 : 0);
         if (!ok) {
             bool newly_halted = false;
             {
                 ScopedLock<typename Policy::Mutex> lock(mutex_);
-                if (!Policy::Get(halted_)) {
-                    Policy::Set(halted_, true);
+                if (!halted_) {
+                    halted_ = true;
                     halt_start_ = now;
                     newly_halted = true;
                     DropPendingLocked();
                 }
             }
             if (newly_halted) {
-                StatsOps::Inc(stats_.safeguard_triggers);
+                ++stats_.safeguard_triggers;
                 if (actuator_trace_ != nullptr) {
                     actuator_trace_->Instant("safeguard_trigger",
                                              "safeguard");
                 }
             }
             actuator_.Mitigate();
-            StatsOps::Inc(stats_.mitigations);
+            ++stats_.mitigations;
             if (actuator_trace_ != nullptr) {
                 actuator_trace_->Instant("mitigate", "safeguard");
             }
             return false;
         }
         ScopedLock<typename Policy::Mutex> lock(mutex_);
-        if (Policy::Get(halted_)) {
-            Policy::Set(halted_, false);
-            StatsOps::AddHaltedTime(stats_, now - halt_start_);
+        if (halted_) {
+            halted_ = false;
+            stats_.halted_time += now - halt_start_;
             if (actuator_trace_ != nullptr) {
                 actuator_trace_->Instant("safeguard_resume", "safeguard");
             }
@@ -614,10 +544,10 @@ class EpochEngine
     const Stats& stats() const { return stats_; }
     const Schedule& schedule() const { return schedule_; }
     const RuntimeOptions& options() const { return options_; }
-    bool actuator_halted() const { return Policy::Get(halted_); }
+    bool actuator_halted() const { return halted_; }
     bool model_assessment_failing() const
     {
-        return !Policy::Get(model_ok_);
+        return !model_ok_;
     }
 
     std::size_t
@@ -674,7 +604,7 @@ class EpochEngine
     {
         while (!pending_.empty()) {
             pending_.pop_front();
-            StatsOps::Inc(stats_.dropped_while_halted);
+            ++stats_.dropped_while_halted;
         }
     }
 
@@ -698,7 +628,7 @@ class EpochEngine
     // Prediction queue + halt state + epoch histogram (guarded by
     // mutex_; the histogram rides the existing guard because it is
     // written by the model thread and merged out by any thread).
-    // halted_ is Policy::Flag — an atomic under the threaded policy —
+    // halted_ is Policy::Flag — Relaxed under the threaded policy —
     // because actuator_halted() reads it lock-free; the mutex still
     // orders every *write* against the queue state it gates.
     mutable typename Policy::Mutex mutex_;

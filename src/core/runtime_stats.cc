@@ -1,93 +1,25 @@
 #include "core/runtime_stats.h"
 
-#include <algorithm>
+#include <type_traits>
 
 namespace sol::core {
-
-void
-RuntimeStats::Accumulate(const RuntimeStats& other)
-{
-    samples_collected += other.samples_collected;
-    invalid_samples += other.invalid_samples;
-    epochs += other.epochs;
-    model_updates += other.model_updates;
-    short_circuit_epochs += other.short_circuit_epochs;
-    model_assessments += other.model_assessments;
-    failed_assessments += other.failed_assessments;
-    intercepted_predictions += other.intercepted_predictions;
-    predictions_delivered += other.predictions_delivered;
-    default_predictions += other.default_predictions;
-    expired_predictions += other.expired_predictions;
-    dropped_while_halted += other.dropped_while_halted;
-    peak_queued_predictions =
-        std::max(peak_queued_predictions, other.peak_queued_predictions);
-    actions_taken += other.actions_taken;
-    actions_with_prediction += other.actions_with_prediction;
-    actuator_timeouts += other.actuator_timeouts;
-    actuator_assessments += other.actuator_assessments;
-    safeguard_triggers += other.safeguard_triggers;
-    mitigations += other.mitigations;
-    halted_time += other.halted_time;
-}
 
 std::ostream&
 operator<<(std::ostream& os, const RuntimeStats& stats)
 {
-    os << "samples_collected = " << stats.samples_collected << "\n"
-       << "invalid_samples = " << stats.invalid_samples << "\n"
-       << "epochs = " << stats.epochs << "\n"
-       << "model_updates = " << stats.model_updates << "\n"
-       << "short_circuit_epochs = " << stats.short_circuit_epochs << "\n"
-       << "model_assessments = " << stats.model_assessments << "\n"
-       << "failed_assessments = " << stats.failed_assessments << "\n"
-       << "intercepted_predictions = " << stats.intercepted_predictions
-       << "\n"
-       << "predictions_delivered = " << stats.predictions_delivered << "\n"
-       << "default_predictions = " << stats.default_predictions << "\n"
-       << "expired_predictions = " << stats.expired_predictions << "\n"
-       << "dropped_while_halted = " << stats.dropped_while_halted << "\n"
-       << "peak_queued_predictions = " << stats.peak_queued_predictions
-       << "\n"
-       << "actions_taken = " << stats.actions_taken << "\n"
-       << "actions_with_prediction = " << stats.actions_with_prediction
-       << "\n"
-       << "actuator_timeouts = " << stats.actuator_timeouts << "\n"
-       << "actuator_assessments = " << stats.actuator_assessments << "\n"
-       << "safeguard_triggers = " << stats.safeguard_triggers << "\n"
-       << "mitigations = " << stats.mitigations << "\n"
-       << "halted_time_s = " << sim::ToSeconds(stats.halted_time) << "\n";
+    ForEachCounter(
+        [&os](const char* name, CounterFold, const auto& value) {
+            os << name << " = ";
+            if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                         sim::Duration>) {
+                os << sim::ToSeconds(value);
+            } else {
+                os << value;
+            }
+            os << "\n";
+        },
+        stats);
     return os;
-}
-
-RuntimeStats
-AtomicRuntimeStats::Snapshot() const
-{
-    RuntimeStats out;
-    const auto load = [](const std::atomic<std::uint64_t>& v) {
-        return v.load(std::memory_order_relaxed);
-    };
-    out.samples_collected = load(samples_collected);
-    out.invalid_samples = load(invalid_samples);
-    out.epochs = load(epochs);
-    out.model_updates = load(model_updates);
-    out.short_circuit_epochs = load(short_circuit_epochs);
-    out.model_assessments = load(model_assessments);
-    out.failed_assessments = load(failed_assessments);
-    out.intercepted_predictions = load(intercepted_predictions);
-    out.predictions_delivered = load(predictions_delivered);
-    out.default_predictions = load(default_predictions);
-    out.expired_predictions = load(expired_predictions);
-    out.dropped_while_halted = load(dropped_while_halted);
-    out.peak_queued_predictions = load(peak_queued_predictions);
-    out.actions_taken = load(actions_taken);
-    out.actions_with_prediction = load(actions_with_prediction);
-    out.actuator_timeouts = load(actuator_timeouts);
-    out.actuator_assessments = load(actuator_assessments);
-    out.safeguard_triggers = load(safeguard_triggers);
-    out.mitigations = load(mitigations);
-    out.halted_time =
-        sim::Duration(halted_time_ns.load(std::memory_order_relaxed));
-    return out;
 }
 
 }  // namespace sol::core

@@ -19,6 +19,9 @@
  *     std::condition_variable) waits on any BasicLockable — here a
  *     ScopedLock, so the guarded state a wait predicate reads stays
  *     inside the analyzed lock scope.
+ *   - Relaxed<T>: a lock-free value whose every access is a relaxed
+ *     atomic, for counters, peaks and flags that order no other memory
+ *     (the threaded EpochEngine's stats and its halt/model flags).
  *
  * Condition-variable waits release and reacquire the lock internally;
  * the analysis does not model that (the wait happens inside a system
@@ -30,9 +33,12 @@
  */
 #pragma once
 
+#include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
 
 #include "core/thread_annotations.h"
 
@@ -134,5 +140,86 @@ using WriterLock = ScopedLock<SharedMutex>;
 
 /** Condition variable that waits on a ScopedLock (BasicLockable). */
 using ConditionVariable = std::condition_variable_any;
+
+/**
+ * A value any thread may update or read without a lock, where nothing
+ * else is published through it: every access is a relaxed atomic. It
+ * reads and writes like a plain T (`++n`, `n += d`, `flag = true`,
+ * `if (flag)`), so code templated over plain or Relaxed fields is
+ * written once. Updates are exact, never lost; a reader on another
+ * thread may see a value a few updates old, and two fields read one
+ * after the other may be skewed by in-flight updates.
+ */
+template <typename T>
+class Relaxed
+{
+  public:
+    Relaxed() : value_(T{}) {}
+    Relaxed(T value) : value_(value) {}
+    Relaxed(const Relaxed&) = delete;
+    Relaxed& operator=(const Relaxed&) = delete;
+
+    T load() const { return value_.load(std::memory_order_relaxed); }
+    operator T() const { return load(); }
+
+    Relaxed&
+    operator=(T value)
+    {
+        value_.store(value, std::memory_order_relaxed);
+        return *this;
+    }
+
+    /** Adds one; returns the new value. */
+    T
+    operator++() requires std::integral<T>
+    {
+        return value_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+
+    Relaxed&
+    operator+=(T delta)
+    {
+        if constexpr (std::integral<T>) {
+            value_.fetch_add(delta, std::memory_order_relaxed);
+        } else {
+            T seen = load();
+            while (!value_.compare_exchange_weak(
+                seen, seen + delta, std::memory_order_relaxed)) {
+            }
+        }
+        return *this;
+    }
+
+    /** Raises the value to at least `value`; never lowers it. */
+    void
+    Raise(T value)
+    {
+        T seen = load();
+        while (seen < value &&
+               !value_.compare_exchange_weak(seen, value,
+                                             std::memory_order_relaxed)) {
+        }
+    }
+
+  private:
+    std::atomic<T> value_;
+};
+
+/** Raises a plain peak to at least `value` (Relaxed::Raise's twin). */
+template <typename T>
+void
+Raise(T& peak, std::type_identity_t<T> value)
+{
+    if (peak < value) {
+        peak = value;
+    }
+}
+
+template <typename T>
+void
+Raise(Relaxed<T>& peak, std::type_identity_t<T> value)
+{
+    peak.Raise(value);
+}
 
 }  // namespace sol::core

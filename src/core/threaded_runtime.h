@@ -20,9 +20,9 @@
  * The time source is a policy (ClockPolicy template parameter):
  * deployments use the default SteadyClockPolicy (wall clock, real
  * sleeps); the parity tests substitute a manually advanced clock to
- * make the threaded runtime deterministic. Stats counters are relaxed
- * atomics (AtomicRuntimeStats) so stats() snapshots without stopping
- * either loop.
+ * make the threaded runtime deterministic. Stats counters are
+ * core::Relaxed atomics (AtomicRuntimeStats) so stats() snapshots
+ * without stopping either loop.
  */
 #pragma once
 

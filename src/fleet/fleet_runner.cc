@@ -52,7 +52,6 @@ ShardedFleetRunner::ShardedFleetRunner(const FleetConfig& config)
         shard.queue_pending_limit = config_.queue_pending_limit;
         shard.trace_session = config_.trace;
         shard.trace_track = "shard" + std::to_string(s);
-        shard.trace_capacity = config_.trace_capacity;
         shard.node = config_.node;
         next_node += shard.num_nodes;
         shards_.push_back(std::make_unique<cluster::NodeShard>(shard));
@@ -174,7 +173,7 @@ ShardedFleetRunner::StepClaimedShards()
             }
             if (sample_this_window_) {
                 health_partials_[s].Reset();
-                shard.AddHealthTo(health_partials_[s]);
+                shard.AddTotalsTo(health_partials_[s]);
             }
         }
     } catch (...) {
@@ -258,7 +257,8 @@ void
 ShardedFleetRunner::SampleFleetHealth(sim::TimePoint at)
 {
     // Every shard was rolled up at this horizon right after it was
-    // stepped (StepShard), and the helpers are parked now, so folding
+    // stepped (StepClaimedShards), and the helpers are parked now, so
+    // folding
     // the partials is race-free. Everything appended is an integer
     // derived from deterministic per-node state at a window's virtual
     // horizon, and the fold is exact integer sums and bucket-wise
@@ -266,47 +266,20 @@ ShardedFleetRunner::SampleFleetHealth(sim::TimePoint at)
     // thread counts by the same argument as fleet_trace_hash.
     telemetry::TimeSeriesStore& health = *config_.health;
 
-    cluster::HealthTotals fleet;
-    for (const cluster::HealthTotals& partial : health_partials_) {
+    cluster::NodeTotals fleet;
+    for (const cluster::NodeTotals& partial : health_partials_) {
         fleet.Accumulate(partial);
     }
-    const core::RuntimeStats& stats = fleet.stats;
+    cluster::AppendHealthSample(health, "fleet.", "fleet.node.epoch_latency",
+                                at, fleet);
     const sim::EventQueueStats queue = QueueStats();
-
     const auto append = [&health, at](const char* name,
                                       std::uint64_t value) {
         health.Append(name, at, static_cast<std::int64_t>(value));
     };
-    append("fleet.safeguard.trips", stats.safeguard_triggers);
-    append("fleet.safeguard.mitigations", stats.mitigations);
-    append("fleet.model.failures", stats.failed_assessments);
-    append("fleet.model.intercepted", stats.intercepted_predictions);
-    append("fleet.data.harvested", stats.samples_collected);
-    append("fleet.data.invalid", stats.invalid_samples);
-    append("fleet.epochs", stats.epochs);
-    append("fleet.actions", stats.actions_taken);
     append("fleet.queue.executed", queue.executed);
     append("fleet.queue.dropped", queue.dropped);
     append("fleet.queue.pending", queue.pending);
-    append("fleet.arbiter.requests", fleet.arbiter_requests);
-    append("fleet.arbiter.denied", fleet.arbiter_denied);
-
-    // Error-budget denominators for time-fraction SLOs: cumulative
-    // halted agent-time against cumulative scheduled agent-time
-    // (agents x elapsed virtual time, exact integer math).
-    append("fleet.agent.halted_ns",
-           static_cast<std::uint64_t>(stats.halted_time.count()));
-    append("fleet.agent.active_ns",
-           fleet.agents * static_cast<std::uint64_t>(at.count()));
-
-    // Fleet-wide epoch-latency percentiles (merged bucket-wise, so
-    // exact and layout-independent).
-    const telemetry::LatencySnapshot s = fleet.epochs.Snapshot();
-    append("fleet.node.epoch_latency.count", s.count);
-    append("fleet.node.epoch_latency.p50_ns", s.p50_ns);
-    append("fleet.node.epoch_latency.p90_ns", s.p90_ns);
-    append("fleet.node.epoch_latency.p99_ns", s.p99_ns);
-    append("fleet.node.epoch_latency.p999_ns", s.p999_ns);
 
     if (config_.alerts != nullptr) {
         config_.alerts->Evaluate(health, at, fleet_trace_);
@@ -349,14 +322,20 @@ ShardedFleetRunner::DrainNode(std::size_t global_index)
     node(global_index).Stop();
 }
 
+cluster::NodeTotals
+ShardedFleetRunner::Totals() const
+{
+    cluster::NodeTotals totals;
+    for (const auto& shard : shards_) {
+        shard->AddTotalsTo(totals);
+    }
+    return totals;
+}
+
 cluster::FleetStats
 ShardedFleetRunner::Stats() const
 {
-    cluster::FleetStats fleet;
-    for (const auto& shard : shards_) {
-        fleet.Accumulate(shard->Stats());
-    }
-    return fleet;
+    return cluster::FleetStats::Of(Totals());
 }
 
 sim::EventQueueStats
@@ -408,8 +387,9 @@ ShardedFleetRunner::CollectFleetMetrics(telemetry::MetricRegistry& out)
     for (auto& shard : shards_) {
         shard->CollectNodeMetrics(out);
     }
-    cluster::WriteFleetScope(out, Stats(), config_.num_nodes,
-                             QueueStats());
+    const cluster::NodeTotals totals = Totals();
+    cluster::WriteFleetScope(out, cluster::FleetStats::Of(totals),
+                             config_.num_nodes, QueueStats());
     telemetry::MetricScope scope(out, "fleet");
     scope.SetGauge("num_shards", static_cast<double>(shards_.size()));
     scope.SetGauge("num_threads", static_cast<double>(num_threads()));
@@ -417,14 +397,8 @@ ShardedFleetRunner::CollectFleetMetrics(telemetry::MetricRegistry& out)
     // Fleet-wide epoch-duration distribution (virtual ns): the merge is
     // bucket-wise addition, so the result is exact and independent of
     // shard/thread layout.
-    telemetry::LatencyHistogram epoch_hist;
-    for (auto& shard : shards_) {
-        for (std::size_t n = 0; n < shard->num_nodes(); ++n) {
-            shard->node(n).MergeEpochLatencyInto(epoch_hist);
-        }
-    }
-    if (!epoch_hist.empty()) {
-        scope.SetHistogram("epoch_ns", epoch_hist);
+    if (!totals.epochs.empty()) {
+        scope.SetHistogram("epoch_ns", totals.epochs);
     }
 }
 

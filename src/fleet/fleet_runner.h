@@ -117,34 +117,32 @@ struct FleetConfig {
     /**
      * Flight-recorder session for the whole run (null disables
      * tracing). The runner creates one "fleet" track for window events
-     * plus one track per shard (see NodeShardConfig); creation
-     * order (fleet first, shards by index) is fixed, so the serialized
-     * trace is byte-deterministic for a fixed (base_seed, num_shards,
-     * window schedule) regardless of thread count. The caller owns the
-     * session and serializes it after Run.
+     * plus one track per shard (see NodeShardConfig), each with the
+     * session's default ring capacity; creation order (fleet first,
+     * shards by index) is fixed, so the serialized trace is
+     * byte-deterministic for a fixed (base_seed, num_shards, window
+     * schedule) regardless of thread count. Shards on long runs fill
+     * and drop — the head of the run survives, and the drop count lands
+     * in the trace. The caller owns the session and serializes it after
+     * Run.
      */
     telemetry::trace::TraceSession* trace = nullptr;
-
-    /** Per-shard trace ring capacity (0 = session default). Shards on
-     *  long runs fill and drop — the head of the run survives, and the
-     *  drop count lands in the trace. */
-    std::size_t trace_capacity = 4096;
 
     /**
      * Health timeline store sampled at window boundaries (null
      * disables). On every `health_every_n_windows`-th window, the
      * thread that steps a shard rolls it up right after stepping it
-     * (cluster::HealthTotals: runtime counters, merged epoch histogram,
-     * arbiter requests/denials, agent count). Once the window closes,
-     * the calling thread folds those per-shard partials in shard order
-     * and appends the fleet's health counters, error-budget
-     * denominators, and the merged epoch-latency percentiles as
-     * "fleet.*" series at the window's virtual horizon. The partials are exact integer sums and
-     * bucket-wise histogram adds, so the samples are byte-identical for
-     * any thread count. Sampling is observe-only: it schedules no
-     * events and mutates no sampled state, so enabling it leaves
-     * fleet_trace_hash() and every per-shard trace byte-identical.
-     * Caller owns the store.
+     * (cluster::NodeTotals). Once the window closes, the calling thread
+     * folds those per-shard partials in shard order and appends the
+     * fleet's sample at the window's virtual horizon:
+     * cluster::AppendHealthSample's series under "fleet." (epoch
+     * latency under "fleet.node.epoch_latency") plus the summed queues'
+     * "fleet.queue.executed", ".dropped" and ".pending". The partials
+     * are exact integer sums and bucket-wise histogram adds, so the
+     * samples are byte-identical for any thread count. Sampling is
+     * observe-only: it schedules no events and mutates no sampled
+     * state, so enabling it leaves fleet_trace_hash() and every
+     * per-shard trace byte-identical. Caller owns the store.
      */
     telemetry::TimeSeriesStore* health = nullptr;
 
@@ -211,7 +209,11 @@ class ShardedFleetRunner
      */
     void DrainNode(std::size_t global_index);
 
-    /** Roll-up counters across every node in the fleet. */
+    /** Every node's totals, folded shard by shard (call between Run
+     *  calls; merges every agent's epoch histogram). */
+    cluster::NodeTotals Totals() const;
+
+    /** Fleet-scope counters: FleetStats::Of(Totals()). */
     cluster::FleetStats Stats() const;
 
     /** Field-wise sum of every shard queue's counters. `pending` and
@@ -323,7 +325,7 @@ class ShardedFleetRunner
     /** One health roll-up per shard, written by whichever thread steps
      *  the shard on sampled windows. Empty unless config_.health is
      *  set. */
-    std::vector<cluster::HealthTotals> health_partials_;
+    std::vector<cluster::NodeTotals> health_partials_;
 
     /** Incremented to open each window (and once to shut down);
      *  parked helpers wait on it. */

@@ -57,6 +57,8 @@ struct LatencySnapshot {
     std::uint64_t p90_ns = 0;
     std::uint64_t p99_ns = 0;
     std::uint64_t p999_ns = 0;
+
+    bool operator==(const LatencySnapshot&) const = default;
 };
 
 /** Mergeable log-bucketed histogram of nanosecond durations. */

@@ -1,6 +1,7 @@
 #include "telemetry/metric_registry.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -111,15 +112,6 @@ MetricRegistry::Series(const std::string& name) const
     return it == series_.end() ? kEmpty : it->second;
 }
 
-void
-MetricRegistry::PrintSeriesCsv(std::ostream& os,
-                               const std::string& name) const
-{
-    for (const auto& point : Series(name)) {
-        os << point.x << "," << point.y << "\n";
-    }
-}
-
 namespace {
 
 /** Escapes a string for use inside a JSON string literal. */
@@ -167,27 +159,71 @@ JsonNumber(double v)
     return ss.str();
 }
 
-/** True when a table cell parses fully as a finite double. "0x..."
- *  cells are excluded even though strtod accepts C99 hex floats: they
- *  are 64-bit trace-hash fingerprints, and a double would silently
- *  truncate them past 2^53 — they must survive as exact strings. */
-bool
-LooksNumeric(const std::string& cell, double* value)
+/**
+ * The JSON number a table cell is written as, or "" when the cell stays
+ * a string. A cell becomes a number only when it is a JSON number
+ * literal whose value survives the trip: an integer is written digit
+ * for digit (64-bit counts stay exact past 2^53), any other literal as
+ * the shortest text that parses back to the same double. Everything
+ * else stays a string: " 12", "007", "+5", hex fingerprints such as
+ * "0x1f" or "-0x1f", and literals out of double range such as "1e400".
+ */
+std::string
+JsonNumberCell(const std::string& cell)
 {
-    if (cell.empty()) {
-        return false;
+    // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+    const std::size_t n = cell.size();
+    std::size_t i = 0;
+    const auto digits = [&cell, n, &i] {
+        const std::size_t start = i;
+        while (i < n && cell[i] >= '0' && cell[i] <= '9') {
+            ++i;
+        }
+        return i - start;
+    };
+    if (i < n && cell[i] == '-') {
+        ++i;
     }
-    if (cell.size() > 1 && cell[0] == '0' &&
-        (cell[1] == 'x' || cell[1] == 'X')) {
-        return false;
+    const std::size_t int_start = i;
+    const std::size_t int_digits = digits();
+    if (int_digits == 0 || (int_digits > 1 && cell[int_start] == '0')) {
+        return "";
     }
-    char* end = nullptr;
-    const double v = std::strtod(cell.c_str(), &end);
-    if (end != cell.c_str() + cell.size() || !std::isfinite(v)) {
-        return false;
+    bool integer = true;
+    if (i < n && cell[i] == '.') {
+        ++i;
+        if (digits() == 0) {
+            return "";
+        }
+        integer = false;
     }
-    *value = v;
-    return true;
+    if (i < n && (cell[i] == 'e' || cell[i] == 'E')) {
+        ++i;
+        if (i < n && (cell[i] == '+' || cell[i] == '-')) {
+            ++i;
+        }
+        if (digits() == 0) {
+            return "";
+        }
+        integer = false;
+    }
+    if (i != n) {
+        return "";
+    }
+    if (integer) {
+        return cell;
+    }
+    double value = 0.0;
+    const char* last = cell.data() + n;
+    const std::from_chars_result parsed =
+        std::from_chars(cell.data(), last, value);
+    if (parsed.ec != std::errc() || parsed.ptr != last) {
+        return "";  // Beyond double range: the number would not survive.
+    }
+    char text[32];
+    const std::to_chars_result written =
+        std::to_chars(text, text + sizeof(text), value);
+    return std::string(text, written.ptr);
 }
 
 }  // namespace
@@ -264,34 +300,6 @@ MetricRegistry::Clear()
     gauges_.clear();
     series_.clear();
     histograms_.clear();
-}
-
-void
-MetricRegistry::VisitCounters(
-    const std::function<void(const std::string&, std::uint64_t)>& fn) const
-{
-    for (const auto& [name, value] : counters_) {
-        fn(name, value);
-    }
-}
-
-void
-MetricRegistry::VisitGauges(
-    const std::function<void(const std::string&, double)>& fn) const
-{
-    for (const auto& [name, value] : gauges_) {
-        fn(name, value);
-    }
-}
-
-void
-MetricRegistry::VisitHistograms(
-    const std::function<void(const std::string&, const LatencyHistogram&)>&
-        fn) const
-{
-    for (const auto& [name, histogram] : histograms_) {
-        fn(name, histogram);
-    }
 }
 
 TableWriter::TableWriter(std::vector<std::string> headers)
@@ -395,10 +403,10 @@ BenchJson::Write(std::ostream& os) const
             os << (r == 0 ? "" : ",") << "\n    [";
             for (std::size_t c = 0; c < section.rows[r].size(); ++c) {
                 const std::string& cell = section.rows[r][c];
-                double value = 0.0;
+                const std::string number = JsonNumberCell(cell);
                 os << (c == 0 ? "" : ",");
-                if (LooksNumeric(cell, &value)) {
-                    os << JsonNumber(value);
+                if (!number.empty()) {
+                    os << number;
                 } else {
                     os << "\"" << JsonEscape(cell) << "\"";
                 }

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -94,13 +93,6 @@ class MetricRegistry
     bool HasSeries(const std::string& name) const;
     bool HasHistogram(const std::string& name) const;
 
-    /**
-     * Writes one series as CSV rows (x,y). An unknown name writes
-     * nothing — no header, no error — matching Series()'s empty-result
-     * contract.
-     */
-    void PrintSeriesCsv(std::ostream& os, const std::string& name) const;
-
     /** Writes every counter, gauge, series, and histogram snapshot as
      *  one JSON object (histograms as integer-ns count/sum/min/max/
      *  p50/p90/p99/p999). */
@@ -113,22 +105,6 @@ class MetricRegistry
     void MergeFrom(const MetricRegistry& other, const std::string& prefix);
 
     void Clear();
-
-    /** Visits every counter in name order (deterministic). Read-only:
-     *  samplers iterate through these hooks instead of friend access to
-     *  the underlying maps. */
-    void VisitCounters(
-        const std::function<void(const std::string&, std::uint64_t)>& fn)
-        const;
-
-    /** Visits every gauge in name order (deterministic). */
-    void VisitGauges(
-        const std::function<void(const std::string&, double)>& fn) const;
-
-    /** Visits every latency histogram in name order (deterministic). */
-    void VisitHistograms(
-        const std::function<void(const std::string&,
-                                 const LatencyHistogram&)>& fn) const;
 
     const std::map<std::string, std::uint64_t>& counters() const
     {
@@ -345,8 +321,10 @@ class TableWriter
  *   json.AddTable("results", table);
  *   json.WriteFile();                 // -> BENCH_fig6_harvest_safeguards.json
  *
- * Numeric-looking cells are emitted as JSON numbers so downstream
- * tooling can chart them without re-parsing strings. The output
+ * Cells that are JSON number literals are emitted as JSON numbers
+ * that read back as the same value (integers digit for digit), so
+ * downstream tooling can chart them without re-parsing strings; every
+ * other cell stays a string. The output
  * directory can be overridden with the SOL_BENCH_JSON_DIR environment
  * variable; setting it to "-" disables file output.
  */

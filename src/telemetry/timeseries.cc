@@ -1,9 +1,7 @@
 #include "telemetry/timeseries.h"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "telemetry/metric_registry.h"
 
 namespace sol::telemetry {
 
@@ -126,37 +124,6 @@ TimeSeriesStore::VisitSeries(
     for (const auto& [name, series] : series_) {
         fn(name, series);
     }
-}
-
-void
-TimeSeriesStore::SampleRegistry(const MetricRegistry& registry,
-                                const std::string& prefix,
-                                sim::TimePoint at)
-{
-    const std::string p = prefix.empty() ? "" : prefix + ".";
-    registry.VisitCounters(
-        [&](const std::string& name, std::uint64_t value) {
-            Append(p + name, at, static_cast<std::int64_t>(value));
-        });
-    registry.VisitGauges([&](const std::string& name, double value) {
-        Append(p + name + ".milli", at,
-               static_cast<std::int64_t>(
-                   std::llround(value * static_cast<double>(kGaugeScale))));
-    });
-    registry.VisitHistograms(
-        [&](const std::string& name, const LatencyHistogram& histogram) {
-            const LatencySnapshot s = histogram.Snapshot();
-            Append(p + name + ".count", at,
-                   static_cast<std::int64_t>(s.count));
-            Append(p + name + ".p50_ns", at,
-                   static_cast<std::int64_t>(s.p50_ns));
-            Append(p + name + ".p90_ns", at,
-                   static_cast<std::int64_t>(s.p90_ns));
-            Append(p + name + ".p99_ns", at,
-                   static_cast<std::int64_t>(s.p99_ns));
-            Append(p + name + ".p999_ns", at,
-                   static_cast<std::int64_t>(s.p999_ns));
-        });
 }
 
 namespace {

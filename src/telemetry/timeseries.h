@@ -16,12 +16,11 @@
  *  - Deterministic: samples are taken at virtual-time boundaries the
  *    simulation already synchronizes on (fleet window boundaries, node
  *    driver ticks), carry virtual timestamps, and store integer
- *    values only (gauges are scaled to fixed-point milli-units at the
- *    sampling boundary). A scenario's full timeline — every series,
+ *    values only. A scenario's full timeline — every series,
  *    every sample — is byte-identical across repeat runs and across
  *    1/2/8 fleet worker threads, fingerprinted by timeline_hash().
  *  - Observe-only: sampling never schedules events and never mutates
- *    the sampled registries, so enabling a timeline leaves event-trace
+ *    the sampled state, so enabling a timeline leaves event-trace
  *    hashes byte-stable.
  *  - Bounded: each series is a fixed-capacity ring that keeps the
  *    *tail* (most recent samples) with an exact total_appended()
@@ -45,8 +44,6 @@
 #include "sim/time.h"
 
 namespace sol::telemetry {
-
-class MetricRegistry;
 
 /** One timeline point: a virtual timestamp and an integer value. */
 struct TimeSample {
@@ -128,12 +125,6 @@ class TimeSeries
 class TimeSeriesStore
 {
   public:
-    /** Fixed-point scale applied to double-valued gauges at the
-     *  sampling boundary: stored value = round(gauge * kGaugeScale),
-     *  and the series is named `<gauge>.milli` so the scaling is
-     *  visible in the series name (documented stable mapping). */
-    static constexpr std::int64_t kGaugeScale = 1000;
-
     explicit TimeSeriesStore(std::size_t series_capacity = 1024);
 
     /** Appends one sample to `name` (creating the series on first
@@ -159,16 +150,6 @@ class TimeSeriesStore
     void VisitSeries(
         const std::function<void(const std::string&, const TimeSeries&)>&
             fn) const;
-
-    /**
-     * Samples every metric of a registry at `at` under `prefix + "."`
-     * (empty prefix = bare names), via the registry's Visit hooks:
-     * counters as-is, gauges as fixed-point `<name>.milli`, histograms
-     * as `<name>.p50_ns/.p90_ns/.p99_ns/.p999_ns` plus `<name>.count`.
-     * Observe-only: the registry is never mutated.
-     */
-    void SampleRegistry(const MetricRegistry& registry,
-                        const std::string& prefix, sim::TimePoint at);
 
     /**
      * FNV-1a fingerprint over every series name and every retained
@@ -206,14 +187,6 @@ class SharedTimeSeriesStore
     {
         core::MutexLock lock(mutex_);
         store_.Append(name, at, value);
-    }
-
-    void
-    SampleRegistry(const MetricRegistry& registry,
-                   const std::string& prefix, sim::TimePoint at)
-    {
-        core::MutexLock lock(mutex_);
-        store_.SampleRegistry(registry, prefix, at);
     }
 
     /** Copies the current timelines out (thread-safe). */

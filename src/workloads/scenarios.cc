@@ -332,25 +332,11 @@ RunScenario(const Scenario& scenario, const ScenarioOptions& options)
 
     // Fleet-wide roll-ups: runtime counters and the epoch-latency
     // distribution summed/merged over every agent of every node, plus
-    // the synthetic actuators' arbiter-facing accounting.
-    core::RuntimeStats agents;
-    telemetry::LatencyHistogram epoch_hist;
-    std::uint64_t expands_admitted = 0;
-    std::uint64_t expands_denied = 0;
-    for (std::size_t i = 0; i < runner.num_nodes(); ++i) {
-        cluster::MultiAgentNode& node = runner.node(i);
-        agents.Accumulate(node.AggregateStats());
-        node.MergeEpochLatencyInto(epoch_hist);
-        for (std::size_t j = 0; j < node.num_synthetic_agents(); ++j) {
-            const cluster::SyntheticActuator& actuator =
-                node.synthetic_agent(j).actuator();
-            expands_admitted += actuator.expands_admitted();
-            expands_denied += actuator.expands_denied();
-        }
-    }
-    const cluster::FleetStats fleet_stats = runner.Stats();
+    // the arbiters' and the synthetic actuators' accounting.
+    const cluster::NodeTotals totals = runner.Totals();
+    const core::RuntimeStats& agents = totals.stats;
     const sim::EventQueueStats queue = runner.QueueStats();
-    const telemetry::LatencySnapshot latency = epoch_hist.Snapshot();
+    const telemetry::LatencySnapshot latency = totals.epochs.Snapshot();
 
     ScenarioResult result;
     result.name = scenario.name;
@@ -362,7 +348,7 @@ RunScenario(const Scenario& scenario, const ScenarioOptions& options)
     result.wall_seconds =
         std::chrono::duration<double>(end - start).count();
     result.behavior = {
-        {"agents", fleet_stats.total_agents},
+        {"agents", totals.agents},
         {"epochs", agents.epochs},
         {"model_updates", agents.model_updates},
         {"short_circuit_epochs", agents.short_circuit_epochs},
@@ -385,11 +371,11 @@ RunScenario(const Scenario& scenario, const ScenarioOptions& options)
          static_cast<std::uint64_t>(
              agents.halted_time.count() < 0 ? 0
                                             : agents.halted_time.count())},
-        {"arbiter_requests", fleet_stats.arbiter_requests},
-        {"conflicts_observed", fleet_stats.conflicts_observed},
-        {"conflicts_resolved", fleet_stats.conflicts_resolved},
-        {"expands_admitted", expands_admitted},
-        {"expands_denied", expands_denied},
+        {"arbiter_requests", totals.arbiter_requests},
+        {"conflicts_observed", totals.conflicts_observed},
+        {"conflicts_resolved", totals.conflicts_resolved},
+        {"expands_admitted", totals.expands_admitted},
+        {"expands_denied", totals.expands_denied},
         {"queue_dropped", queue.dropped},
         {"total_events", result.total_events},
         {"epoch_p50_ns", latency.p50_ns},

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,8 +17,10 @@
 #include "core/agent_registry.h"
 #include "core/epoch_engine.h"
 #include "core/prediction.h"
+#include "core/runtime_stats.h"
 #include "core/schedule.h"
 #include "core/sim_runtime.h"
+#include "core/sync.h"
 #include "sim/event_queue.h"
 
 namespace sol::core {
@@ -872,6 +875,96 @@ TEST_F(SimRuntimeTest, RuntimeStatsPrintable)
     std::ostringstream out;
     out << runtime->stats();
     EXPECT_NE(out.str().find("epochs = "), std::string::npos);
+}
+
+TEST(RuntimeStatsTest, AccumulateAddsCountsAndKeepsThePeak)
+{
+    RuntimeStats total;
+    total.epochs = 3;
+    total.peak_queued_predictions = 4;
+    total.halted_time = Millis(2);
+    RuntimeStats other;
+    other.epochs = 5;
+    other.peak_queued_predictions = 2;
+    other.halted_time = Millis(7);
+    total.Accumulate(other);
+    EXPECT_EQ(total.epochs, 8u);
+    EXPECT_EQ(total.peak_queued_predictions, 4u);
+    EXPECT_EQ(total.halted_time, Millis(9));
+}
+
+// ---------------------------------------------------------------------------
+// Relaxed<T>: the threaded engine's counters and flags
+// ---------------------------------------------------------------------------
+
+TEST(Relaxed, IncrementReturnsTheNewValue)
+{
+    Relaxed<std::uint64_t> n;
+    EXPECT_EQ(n.load(), 0u);
+    EXPECT_EQ(++n, 1u);
+    EXPECT_EQ(++n, 2u);
+    n += 5;
+    EXPECT_EQ(n.load(), 7u);
+    n = 3;
+    EXPECT_EQ(static_cast<std::uint64_t>(n), 3u);
+
+    Relaxed<bool> flag;
+    EXPECT_FALSE(flag);
+    flag = true;
+    EXPECT_TRUE(flag);
+}
+
+TEST(Relaxed, RaiseNeverLowersTheValue)
+{
+    Relaxed<std::uint64_t> peak(5);
+    peak.Raise(3);
+    EXPECT_EQ(peak.load(), 5u);
+    peak.Raise(9);
+    EXPECT_EQ(peak.load(), 9u);
+    peak.Raise(9);
+    EXPECT_EQ(peak.load(), 9u);
+
+    // The plain twin the simulated engine uses.
+    std::uint64_t plain = 5;
+    Raise(plain, 3);
+    EXPECT_EQ(plain, 5u);
+    Raise(plain, 9);
+    EXPECT_EQ(plain, 9u);
+}
+
+TEST(Relaxed, DurationsAdd)
+{
+    Relaxed<sim::Duration> halted;
+    EXPECT_EQ(halted.load(), sim::Duration::zero());
+    halted += Millis(3);
+    halted += sim::Micros(250);
+    EXPECT_EQ(halted.load(), Millis(3) + sim::Micros(250));
+}
+
+TEST(Relaxed, ConcurrentIncrementsAndRaisesAreExact)
+{
+    constexpr std::uint64_t kThreads = 4;
+    constexpr std::uint64_t kPerThread = 100'000;
+    Relaxed<std::uint64_t> count;
+    Relaxed<std::uint64_t> peak;
+    Relaxed<sim::Duration> time;
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&count, &peak, &time, t] {
+            for (std::uint64_t i = 1; i <= kPerThread; ++i) {
+                ++count;
+                peak.Raise(i * kThreads + t);
+                time += sim::Nanos(1);
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(count.load(), kThreads * kPerThread);
+    EXPECT_EQ(peak.load(), kPerThread * kThreads + kThreads - 1);
+    EXPECT_EQ(time.load(),
+              sim::Nanos(static_cast<std::int64_t>(kThreads * kPerThread)));
 }
 
 }  // namespace

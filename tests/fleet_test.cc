@@ -91,7 +91,9 @@ TEST(NodeShard, GlobalIndexingMatchesSerialDriver)
     EXPECT_EQ(shard.first_node_index(), 2u);
 
     shard.Run(sim::Seconds(1));
-    EXPECT_GT(shard.Stats().total_epochs, 0u);
+    cluster::NodeTotals totals;
+    shard.AddTotalsTo(totals);
+    EXPECT_GT(totals.stats.epochs, 0u);
     shard.Stop();
 }
 
@@ -104,7 +106,9 @@ TEST(NodeShard, EmptyShardAdvancesCleanly)
     shard.Run(sim::Seconds(5));
     EXPECT_EQ(shard.queue().executed(), 0u);
     EXPECT_EQ(shard.queue().Now(), sim::Seconds(5));
-    EXPECT_EQ(shard.Stats().total_agents, 0u);
+    cluster::NodeTotals totals;
+    shard.AddTotalsTo(totals);
+    EXPECT_EQ(totals.agents, 0u);
     shard.Stop();  // No-ops, but must be safe.
     shard.CleanUpAll();
 }
@@ -458,6 +462,69 @@ TEST(ShardedFleetRunner, CollectFleetMetricsAggregatesAcrossShards)
     EXPECT_GT(out.Gauge("node0.smart-harvest.epochs"), 0.0);
     EXPECT_GT(out.Gauge("node2.smart-harvest.epochs"), 0.0);
     runner.Stop();
+}
+
+/** Every node's counters read one by one, through the node's own
+ *  accessors: what Totals() must add up to. */
+cluster::NodeTotals
+WalkEveryNode(ShardedFleetRunner& runner)
+{
+    cluster::NodeTotals walk;
+    for (std::size_t i = 0; i < runner.num_nodes(); ++i) {
+        cluster::MultiAgentNode& node = runner.node(i);
+        walk.stats.Accumulate(node.AggregateStats());
+        node.MergeEpochLatencyInto(walk.epochs);
+        walk.arbiter_requests += node.arbiter().requests();
+        walk.conflicts_observed += node.arbiter().conflicts_observed();
+        walk.conflicts_resolved += node.arbiter().conflicts_resolved();
+        for (std::size_t j = 0; j < node.num_synthetic_agents(); ++j) {
+            const cluster::SyntheticActuator& actuator =
+                node.synthetic_agent(j).actuator();
+            walk.expands_admitted += actuator.expands_admitted();
+            walk.expands_denied += actuator.expands_denied();
+        }
+        walk.agents += node.num_agents();
+    }
+    return walk;
+}
+
+TEST(ShardedFleetRunner, TotalsEqualAWalkOverEveryNode)
+{
+    struct Layout {
+        std::size_t num_nodes;
+        std::size_t num_shards;  // 0 = one node per shard.
+    };
+    for (const Layout layout : {Layout{4, 0}, Layout{6, 3}}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+            SCOPED_TRACE(std::to_string(layout.num_nodes) + " nodes, " +
+                         std::to_string(layout.num_shards) + " shards, " +
+                         std::to_string(threads) + " threads");
+            FleetConfig config = SmallFleet(layout.num_nodes, threads);
+            config.num_shards = layout.num_shards;
+            config.node.synthetic.expand_fraction = 0.5;
+            ShardedFleetRunner runner(config);
+            runner.Run(sim::Seconds(2));
+            runner.Stop();
+
+            const cluster::NodeTotals totals = runner.Totals();
+            const cluster::NodeTotals walk = WalkEveryNode(runner);
+            EXPECT_EQ(totals.stats, walk.stats);
+            EXPECT_EQ(totals.epochs.Snapshot(), walk.epochs.Snapshot());
+            EXPECT_EQ(totals.arbiter_requests, walk.arbiter_requests);
+            EXPECT_EQ(totals.conflicts_observed, walk.conflicts_observed);
+            EXPECT_EQ(totals.conflicts_resolved, walk.conflicts_resolved);
+            EXPECT_EQ(totals.expands_admitted, walk.expands_admitted);
+            EXPECT_EQ(totals.expands_denied, walk.expands_denied);
+            EXPECT_EQ(totals.agents, walk.agents);
+            // The run must exercise what it compares.
+            EXPECT_GT(walk.stats.epochs, 0u);
+            EXPECT_GT(walk.epochs.count(), 0u);
+            EXPECT_GT(walk.expands_admitted + walk.expands_denied, 0u);
+            EXPECT_GT(walk.conflicts_observed, 0u);
+
+            EXPECT_EQ(runner.Stats(), cluster::FleetStats::Of(totals));
+        }
+    }
 }
 
 TEST(ShardedFleetRunner, CleanUpAllSweepsEveryShard)

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -134,35 +135,6 @@ TEST(TimeSeriesStore, FindNeverInsertsAndVisitIsNameOrdered)
     EXPECT_EQ(order[0], "a.one");
     EXPECT_EQ(order[1], "b.two");
     EXPECT_EQ(store.total_appended(), 2u);
-}
-
-TEST(TimeSeriesStore, SampleRegistryCoversEveryMetricKind)
-{
-    MetricRegistry registry;
-    registry.Increment("epochs", 42);
-    registry.SetGauge("load", 1.5);
-    LatencyHistogram hist;
-    hist.Record(1000);
-    hist.Record(2000);
-    registry.MergeHistogram("epoch_latency", hist);
-
-    TimeSeriesStore store;
-    store.SampleRegistry(registry, "node0", Ms(100));
-
-    std::int64_t value = 0;
-    ASSERT_TRUE(store.ValueAt("node0.epochs", Ms(100), &value));
-    EXPECT_EQ(value, 42);
-    // Gauges are fixed-point: value * kGaugeScale under `.milli`.
-    ASSERT_TRUE(store.ValueAt("node0.load.milli", Ms(100), &value));
-    EXPECT_EQ(value, 1500);
-    ASSERT_TRUE(store.ValueAt("node0.epoch_latency.count", Ms(100), &value));
-    EXPECT_EQ(value, 2);
-    for (const char* q : {"p50_ns", "p90_ns", "p99_ns", "p999_ns"}) {
-        ASSERT_TRUE(store.ValueAt("node0.epoch_latency." + std::string(q),
-                                  Ms(100), &value))
-            << q;
-        EXPECT_GT(value, 0) << q;
-    }
 }
 
 TEST(TimeSeriesStore, TimelineHashFingerprintsContent)
@@ -716,6 +688,38 @@ TEST(NodeHealth, DriverTickSamplesAtConfiguredPeriod)
     EXPECT_NE(snapshot.Find("node0.agent.active_ns"), nullptr);
 }
 
+TEST(NodeHealth, SampleWritesExactlyTheNodeSeries)
+{
+    sim::EventQueue queue;
+    SharedTimeSeriesStore health;
+    cluster::MultiAgentNodeConfig config;
+    config.name = "node3";
+    config.synthetic_agents = 2;
+    config.health = &health;
+    cluster::MultiAgentNode node(queue, config);
+    node.Start();
+    queue.RunFor(sim::Millis(300));
+    node.Stop();
+
+    std::set<std::string> written;
+    health.Snapshot().VisitSeries(
+        [&written](const std::string& name, const TimeSeries&) {
+            written.insert(name);
+        });
+    const std::set<std::string> expected = {
+        "node3.safeguard.trips",         "node3.safeguard.mitigations",
+        "node3.model.failures",          "node3.model.intercepted",
+        "node3.data.harvested",          "node3.data.invalid",
+        "node3.epochs",                  "node3.actions",
+        "node3.arbiter.requests",        "node3.arbiter.denied",
+        "node3.agent.halted_ns",         "node3.agent.active_ns",
+        "node3.epoch_latency.count",     "node3.epoch_latency.p50_ns",
+        "node3.epoch_latency.p90_ns",    "node3.epoch_latency.p99_ns",
+        "node3.epoch_latency.p999_ns",
+    };
+    EXPECT_EQ(written, expected);
+}
+
 TEST(NodeHealth, RejectsNonPositivePeriod)
 {
     sim::EventQueue queue;
@@ -821,37 +825,6 @@ TEST(HealthConcurrency, SharedStoreSurvivesProducersAndScrapers)
               static_cast<std::size_t>(kProducers));
     EXPECT_EQ(final_snapshot.total_appended(),
               static_cast<std::uint64_t>(kProducers) * kSamples);
-}
-
-TEST(HealthConcurrency, ConcurrentRegistrySamplingStaysConsistent)
-{
-    // One driver samples a shared registry into the store while a
-    // scraper snapshots — the threaded node's production arrangement.
-    SharedMetricRegistry registry;
-    SharedTimeSeriesStore store;
-    std::atomic<bool> stop{false};
-
-    std::thread driver([&] {
-        for (int i = 1; i <= 200; ++i) {
-            registry.Increment("epochs");
-            const MetricRegistry snap = registry.Snapshot();
-            store.SampleRegistry(snap, "node", Ms(i));
-        }
-        stop.store(true, std::memory_order_relaxed);
-    });
-    std::thread scraper([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            (void)store.timeline_hash();
-        }
-    });
-    driver.join();
-    scraper.join();
-
-    const TimeSeriesStore snapshot = store.Snapshot();
-    const TimeSeries* epochs = snapshot.Find("node.epochs");
-    ASSERT_NE(epochs, nullptr);
-    EXPECT_EQ(epochs->total_appended(), 200u);
-    EXPECT_EQ(epochs->Latest().value, 200);
 }
 
 }  // namespace

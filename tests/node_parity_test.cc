@@ -159,6 +159,7 @@ AgentName(std::size_t i)
 
 /** Everything the parity assertion compares. */
 struct NodeLegResult {
+    std::vector<core::RuntimeStats> agents;  ///< By synthetic index.
     core::RuntimeStats aggregate;
     std::uint64_t arbiter_requests = 0;
     std::uint64_t conflicts_observed = 0;
@@ -196,6 +197,9 @@ RunSimNodeLeg(const NodeScenario& scenario,
     node.CollectMetrics();
 
     NodeLegResult result;
+    for (std::size_t i = 0; i < scenario.num_agents; ++i) {
+        result.agents.push_back(node.AgentStats(AgentName(i)));
+    }
     result.aggregate = node.AggregateStats();
     result.arbiter_requests = node.arbiter().requests();
     result.conflicts_observed = node.arbiter().conflicts_observed();
@@ -304,6 +308,9 @@ RunThreadedNodeLeg(const NodeScenario& scenario,
     node.CollectMetrics();
 
     NodeLegResult result;
+    for (std::size_t i = 0; i < scenario.num_agents; ++i) {
+        result.agents.push_back(node.AgentStats(AgentName(i)));
+    }
     result.aggregate = node.AggregateStats();
     result.arbiter_requests = node.arbiter().requests();
     result.conflicts_observed = node.arbiter().conflicts_observed();
@@ -313,41 +320,13 @@ RunThreadedNodeLeg(const NodeScenario& scenario,
     return result;
 }
 
-/** Aggregated RuntimeStats must match on every field. */
-void
-ExpectStatsEqual(const core::RuntimeStats& sim,
-                 const core::RuntimeStats& threaded)
-{
-    EXPECT_EQ(sim.samples_collected, threaded.samples_collected);
-    EXPECT_EQ(sim.invalid_samples, threaded.invalid_samples);
-    EXPECT_EQ(sim.epochs, threaded.epochs);
-    EXPECT_EQ(sim.model_updates, threaded.model_updates);
-    EXPECT_EQ(sim.short_circuit_epochs, threaded.short_circuit_epochs);
-    EXPECT_EQ(sim.model_assessments, threaded.model_assessments);
-    EXPECT_EQ(sim.failed_assessments, threaded.failed_assessments);
-    EXPECT_EQ(sim.intercepted_predictions,
-              threaded.intercepted_predictions);
-    EXPECT_EQ(sim.predictions_delivered, threaded.predictions_delivered);
-    EXPECT_EQ(sim.default_predictions, threaded.default_predictions);
-    EXPECT_EQ(sim.expired_predictions, threaded.expired_predictions);
-    EXPECT_EQ(sim.dropped_while_halted, threaded.dropped_while_halted);
-    EXPECT_EQ(sim.peak_queued_predictions,
-              threaded.peak_queued_predictions);
-    EXPECT_EQ(sim.actions_taken, threaded.actions_taken);
-    EXPECT_EQ(sim.actions_with_prediction,
-              threaded.actions_with_prediction);
-    EXPECT_EQ(sim.actuator_timeouts, threaded.actuator_timeouts);
-    EXPECT_EQ(sim.actuator_assessments, threaded.actuator_assessments);
-    EXPECT_EQ(sim.safeguard_triggers, threaded.safeguard_triggers);
-    EXPECT_EQ(sim.mitigations, threaded.mitigations);
-    EXPECT_EQ(sim.halted_time.count(), threaded.halted_time.count());
-}
-
 /** The full node-scope parity assertion. */
 void
 ExpectNodeParity(const NodeLegResult& sim, const NodeLegResult& threaded)
 {
-    ExpectStatsEqual(sim.aggregate, threaded.aggregate);
+    // Every RuntimeStats field, per agent and rolled up.
+    EXPECT_EQ(sim.agents, threaded.agents);
+    EXPECT_EQ(sim.aggregate, threaded.aggregate);
 
     EXPECT_EQ(sim.arbiter_requests, threaded.arbiter_requests);
     EXPECT_EQ(sim.conflicts_observed, threaded.conflicts_observed);

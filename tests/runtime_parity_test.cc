@@ -347,35 +347,6 @@ RunThreadedLeg(const Scenario& scenario)
     return runtime.stats();
 }
 
-/** The parity assertion: every RuntimeStats field must match. */
-void
-ExpectStatsEqual(const RuntimeStats& sim, const RuntimeStats& threaded)
-{
-    EXPECT_EQ(sim.samples_collected, threaded.samples_collected);
-    EXPECT_EQ(sim.invalid_samples, threaded.invalid_samples);
-    EXPECT_EQ(sim.epochs, threaded.epochs);
-    EXPECT_EQ(sim.model_updates, threaded.model_updates);
-    EXPECT_EQ(sim.short_circuit_epochs, threaded.short_circuit_epochs);
-    EXPECT_EQ(sim.model_assessments, threaded.model_assessments);
-    EXPECT_EQ(sim.failed_assessments, threaded.failed_assessments);
-    EXPECT_EQ(sim.intercepted_predictions,
-              threaded.intercepted_predictions);
-    EXPECT_EQ(sim.predictions_delivered, threaded.predictions_delivered);
-    EXPECT_EQ(sim.default_predictions, threaded.default_predictions);
-    EXPECT_EQ(sim.expired_predictions, threaded.expired_predictions);
-    EXPECT_EQ(sim.dropped_while_halted, threaded.dropped_while_halted);
-    EXPECT_EQ(sim.peak_queued_predictions,
-              threaded.peak_queued_predictions);
-    EXPECT_EQ(sim.actions_taken, threaded.actions_taken);
-    EXPECT_EQ(sim.actions_with_prediction,
-              threaded.actions_with_prediction);
-    EXPECT_EQ(sim.actuator_timeouts, threaded.actuator_timeouts);
-    EXPECT_EQ(sim.actuator_assessments, threaded.actuator_assessments);
-    EXPECT_EQ(sim.safeguard_triggers, threaded.safeguard_triggers);
-    EXPECT_EQ(sim.mitigations, threaded.mitigations);
-    EXPECT_EQ(sim.halted_time.count(), threaded.halted_time.count());
-}
-
 std::vector<ScenarioTick>
 ValidTicks(std::size_t n)
 {
@@ -393,7 +364,7 @@ TEST(RuntimeParityTest, CleanEpochsProduceIdenticalStats)
 
     const RuntimeStats sim = RunSimLeg(scenario);
     const RuntimeStats threaded = RunThreadedLeg(scenario);
-    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(sim, threaded);  // Every RuntimeStats field.
 
     EXPECT_EQ(sim.samples_collected, 12u);
     EXPECT_EQ(sim.epochs, 4u);
@@ -424,7 +395,7 @@ TEST(RuntimeParityTest, InvalidFaultedAndShortCircuitSamples)
 
     const RuntimeStats sim = RunSimLeg(scenario);
     const RuntimeStats threaded = RunThreadedLeg(scenario);
-    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(sim, threaded);  // Every RuntimeStats field.
 
     // The data-fault hook fired on both runtimes (the old
     // ThreadedRuntime had no SetDataFault at all).
@@ -449,7 +420,7 @@ TEST(RuntimeParityTest, FailingModelAssessmentIntercepts)
 
     const RuntimeStats sim = RunSimLeg(scenario);
     const RuntimeStats threaded = RunThreadedLeg(scenario);
-    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(sim, threaded);  // Every RuntimeStats field.
 
     EXPECT_EQ(sim.model_assessments, 5u);
     EXPECT_EQ(sim.failed_assessments, 2u);
@@ -470,7 +441,7 @@ TEST(RuntimeParityTest, ActuatorSafeguardTripAndRecovery)
 
     const RuntimeStats sim = RunSimLeg(scenario);
     const RuntimeStats threaded = RunThreadedLeg(scenario);
-    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(sim, threaded);  // Every RuntimeStats field.
 
     EXPECT_EQ(sim.actuator_assessments, 12u);
     EXPECT_EQ(sim.safeguard_triggers, 1u);
@@ -496,7 +467,7 @@ TEST(RuntimeParityTest, RestartMidEpochResetsOnlyEpochProgress)
 
     const RuntimeStats sim = RunSimLeg(scenario);
     const RuntimeStats threaded = RunThreadedLeg(scenario);
-    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(sim, threaded);  // Every RuntimeStats field.
 
     EXPECT_EQ(sim.samples_collected, 10u);
     EXPECT_EQ(sim.epochs, 3u);  // Ticks 1-3, 5-7, 8-10.
@@ -521,7 +492,7 @@ TEST(RuntimeParityTest, RestartPersistsFailedModelAssessment)
 
     const RuntimeStats sim = RunSimLeg(scenario);
     const RuntimeStats threaded = RunThreadedLeg(scenario);
-    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(sim, threaded);  // Every RuntimeStats field.
 
     EXPECT_EQ(sim.failed_assessments, 3u);
     EXPECT_EQ(sim.intercepted_predictions, 5u);  // Epochs 4-8.
@@ -589,7 +560,7 @@ TEST(RuntimeParityTest, StopRacingPendingModelAssessmentKeepsPrediction)
     runtime.Stop();
 
     const RuntimeStats threaded = runtime.stats();
-    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(sim, threaded);  // Every RuntimeStats field.
     EXPECT_EQ(threaded.predictions_delivered,
               threaded.actions_with_prediction);
     EXPECT_EQ(threaded.samples_collected, 6u);
@@ -610,7 +581,7 @@ TEST(RuntimeParityTest, RestartWhileHaltedKeepsSafeguardEngaged)
 
     const RuntimeStats sim = RunSimLeg(scenario);
     const RuntimeStats threaded = RunThreadedLeg(scenario);
-    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(sim, threaded);  // Every RuntimeStats field.
 
     EXPECT_EQ(sim.actuator_assessments, 10u);
     EXPECT_EQ(sim.safeguard_triggers, 1u);  // The restart adds none.

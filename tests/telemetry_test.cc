@@ -272,15 +272,6 @@ TEST(MetricRegistryTest, ClearRemovesEverything)
     EXPECT_TRUE(registry.Series("s").empty());
 }
 
-TEST(MetricRegistryTest, CsvOutput)
-{
-    MetricRegistry registry;
-    registry.AppendSeries("s", 1.0, 2.0);
-    std::ostringstream out;
-    registry.PrintSeriesCsv(out, "s");
-    EXPECT_EQ(out.str(), "1,2\n");
-}
-
 TEST(TableWriterTest, RejectsMismatchedRow)
 {
     TableWriter table({"a", "b"});
@@ -384,6 +375,44 @@ TEST(BenchJsonTest, TablesSerializeWithNumericCells)
     // Numeric-looking cells become JSON numbers, others stay strings.
     EXPECT_NE(text.find("[\"image-dnn\",1.25]"), std::string::npos);
     EXPECT_NE(text.find("[\"moses\",\"n/a\"]"), std::string::npos);
+}
+
+TEST(BenchJsonTest, CellsRoundTripOrStayStrings)
+{
+    // Each cell either reads back as the value it shows or stays the
+    // exact string: integers digit for digit, other literals as the
+    // shortest text of the same double.
+    const struct {
+        const char* cell;
+        const char* written;
+    } corpus[] = {
+        {"1234567890123456", "1234567890123456"},
+        {"18446744073709551615", "18446744073709551615"},
+        {" 12", "\" 12\""},
+        {"-0x1f", "\"-0x1f\""},
+        {"0x1f", "\"0x1f\""},
+        {"007", "\"007\""},
+        {"0.1234567890123", "0.1234567890123"},
+        {"+5", "\"+5\""},
+        {"1e400", "\"1e400\""},
+        {"1.250", "1.25"},
+        {"-0.5", "-0.5"},
+        {"2.5e-3", "0.0025"},
+        {"12.", "\"12.\""},
+        {".5", "\".5\""},
+        {"", "\"\""},
+    };
+    for (const auto& c : corpus) {
+        TableWriter table({"cell"});
+        table.AddRow({c.cell});
+        BenchJson json("fig_test");
+        json.AddTable("results", table);
+        std::ostringstream out;
+        json.Write(out);
+        EXPECT_NE(out.str().find("\n    [" + std::string(c.written) + "]"),
+                  std::string::npos)
+            << "cell '" << c.cell << "' written as:\n" << out.str();
+    }
 }
 
 TEST(BenchJsonTest, MetricsSectionsEmbedRegistries)
@@ -774,15 +803,6 @@ TEST(MetricRegistryTest, HasCounterAndHasSeriesDistinguishMissing)
     EXPECT_FALSE(registry.HasSeries("absent"));
 }
 
-TEST(MetricRegistryTest, PrintSeriesCsvUnknownNameWritesNothing)
-{
-    MetricRegistry registry;
-    std::ostringstream out;
-    registry.PrintSeriesCsv(out, "no_such_series");
-    EXPECT_TRUE(out.str().empty());
-    EXPECT_FALSE(registry.HasSeries("no_such_series"));
-}
-
 TEST(MetricRegistryTest, HistogramsRecordMergeAndSnapshot)
 {
     MetricRegistry registry;
@@ -969,47 +989,6 @@ TEST(WindowPercentileTest, ExtremeValuesSurviveQuantiles)
     EXPECT_DOUBLE_EQ(tracker.Quantile(TimePoint(Millis(3)), 0.0), -huge);
     EXPECT_DOUBLE_EQ(tracker.Quantile(TimePoint(Millis(3)), 0.5), 0.0);
     EXPECT_DOUBLE_EQ(tracker.Quantile(TimePoint(Millis(3)), 1.0), huge);
-}
-
-// ---------------------------------------------------------------------------
-// Registry visitation
-// ---------------------------------------------------------------------------
-
-TEST(MetricRegistryTest, VisitHooksWalkNameOrdered)
-{
-    MetricRegistry registry;
-    registry.Increment("b.count", 2);
-    registry.Increment("a.count", 1);
-    registry.SetGauge("z.load", 0.5);
-    LatencyHistogram hist;
-    hist.Record(100);
-    registry.MergeHistogram("m.latency", hist);
-
-    std::vector<std::string> counters;
-    registry.VisitCounters(
-        [&](const std::string& name, std::uint64_t value) {
-            counters.push_back(name + "=" + std::to_string(value));
-        });
-    ASSERT_EQ(counters.size(), 2u);
-    EXPECT_EQ(counters[0], "a.count=1");
-    EXPECT_EQ(counters[1], "b.count=2");
-
-    std::size_t gauges = 0;
-    registry.VisitGauges([&](const std::string& name, double value) {
-        EXPECT_EQ(name, "z.load");
-        EXPECT_DOUBLE_EQ(value, 0.5);
-        ++gauges;
-    });
-    EXPECT_EQ(gauges, 1u);
-
-    std::size_t histograms = 0;
-    registry.VisitHistograms(
-        [&](const std::string& name, const LatencyHistogram& h) {
-            EXPECT_EQ(name, "m.latency");
-            EXPECT_EQ(h.count(), 1u);
-            ++histograms;
-        });
-    EXPECT_EQ(histograms, 1u);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ review. Each rule below names the incident class it prevents:
                         fingerprint function feeds rounding noise into
                         the one value that must be exact. Quantize
                         first: `std::llround(value * scale)` is the
-                        sanctioned idiom (see timeseries.cc), so lines
+                        sanctioned idiom (see trace_driver.cc), so lines
                         using llround/lround are exempt.
 
   unordered-iteration   Iterating a `std::unordered_map`/`set` yields a
